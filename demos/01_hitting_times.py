@@ -21,8 +21,9 @@ def main() -> None:
     h = generate_hitting_sequence(seed, params, n_pairs=6)
 
     print(f"{'k':>3} {'time':>18} {'chart':>6} {'log coord':>14}")
-    for k, (t, q) in enumerate(zip(h.times, h.points)):
-        print(f"{k:>3} {float(t):>18.9f} {q.chart:>6} {float(q.log_coord):>14.6f}")
+    for k, (t, log_coord) in enumerate(zip(h.times, h.log_coord)):
+        chart = "Out1" if k % 2 else "Out2"
+        print(f"{k:>3} {float(t):>18.9f} {chart:>6} {float(log_coord):>14.6f}")
 
     T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
     print("\nloop durations and their ratios:")

@@ -29,8 +29,8 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import ConstraintViolation, InsufficientData
-from .flow import FlowState, SectionPoint, _relabel_out1_in2, flow_at, psi21, section_state
-from .hitting import HittingSequence, generate_hitting_sequence
+from .flow import FlowState, SectionPoint, flow_at, psi21, section_state
+from .hitting import generate_hitting_sequence
 from .params import DerivedConstants, SystemParams, derive_constants
 
 __all__ = [
@@ -210,45 +210,30 @@ def birkhoff_average(
     h = generate_hitting_sequence(q0, p, n_pairs)
     d = derive_constants(p)
 
-    # interleave the stored sojourns so each leg is exact, not a
-    # re-differenced cumulative time
-    legs = np.empty(upto_index, dtype=LD)
-    for j in range(upto_index):
-        legs[j] = h.sojourns_V1[j // 2] if j % 2 == 0 else h.sojourns_V2[j // 2]
-    increments = np.empty(len(legs), dtype=LD)
-    for j, leg in enumerate(legs):
-        if G.kind == "piecewise_constant":
-            g = G.g_sigma1 if j % 2 == 0 else G.g_sigma2
-            increments[j] = asld(g) * leg
-        else:
-            if j % 2 == 0:
-                entry = section_state(psi21(h.points[j], p))
-            else:
-                entry = section_state(_relabel_out1_in2(h.points[j]))
-            increments[j] = asld(_smooth_leg_integral(G, entry, float(leg), p))
-    running = np.cumsum(increments)
-
-    even_avg, even_t, even_idx = [], [], []
-    odd_avg, odd_t, odd_idx = [], [], []
-    for k in range(1, upto_index + 1):
-        avg = running[k - 1] / h.times[k]
-        if k % 2 == 0:
-            even_avg.append(avg)
-            even_t.append(h.times[k])
-            even_idx.append(k)
-        else:
-            odd_avg.append(avg)
-            odd_t.append(h.times[k])
-            odd_idx.append(k)
+    increments = np.empty(upto_index, dtype=LD)
+    if G.kind == "piecewise_constant":
+        increments[0::2] = asld(G.g_sigma1) * h.sojourns_V1[: (upto_index + 1) // 2]
+        increments[1::2] = asld(G.g_sigma2) * h.sojourns_V2[: upto_index // 2]
+    else:
+        for j in range(upto_index):
+            if j % 2 == 0:  # V1 leg: crossing j is on Out2 and is reinjected
+                q = psi21(SectionPoint("Out2", h.theta[j], h.log_coord[j]), p)
+                leg = h.sojourns_V1[j // 2]
+            else:  # V2 leg: crossing j is on Out1, glued to In2
+                q = SectionPoint("In2", h.theta[j], h.log_coord[j])
+                leg = h.sojourns_V2[j // 2]
+            increments[j] = asld(_smooth_leg_integral(G, section_state(q), float(leg), p))
+    # averages[k-1] is the average over [0, times[k]]
+    averages = np.cumsum(increments) / h.times[1 : upto_index + 1]
 
     pe, po = predicted_limits(d, G)
     return AverageSeries(
-        even_averages=np.array(even_avg, dtype=LD),
-        odd_averages=np.array(odd_avg, dtype=LD),
-        even_times=np.array(even_t, dtype=LD),
-        odd_times=np.array(odd_t, dtype=LD),
-        even_indices=np.array(even_idx, dtype=int),
-        odd_indices=np.array(odd_idx, dtype=int),
+        even_averages=averages[1::2],
+        odd_averages=averages[0::2],
+        even_times=h.times[2 : upto_index + 1 : 2],
+        odd_times=h.times[1 : upto_index + 1 : 2],
+        even_indices=np.arange(2, upto_index + 1, 2),
+        odd_indices=np.arange(1, upto_index + 1, 2),
         predicted_even=pe,
         predicted_odd=po,
     )

@@ -234,8 +234,8 @@ def _series_cell(arr: np.ndarray | None, i: int):
 def _run_simulate(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
     rows = [
-        (k, t, q.chart, q.theta_lifted, q.log_coord)
-        for k, (t, q) in enumerate(zip(h.times, h.points))
+        (k, t, "Out1" if k % 2 else "Out2", theta, log_coord)
+        for k, (t, theta, log_coord) in enumerate(zip(h.times, h.theta, h.log_coord))
     ]
     emit_csv(rows, out / "hitting.csv",
              header=["index", "time", "chart", "theta_lifted", "log_coord"])

@@ -74,20 +74,27 @@ class ConjugacyReport:
     verdict: bool
 
 
-def _recover(t1: np.longdouble, t2: np.longdouble, g: SystemParams) -> RecoveredPoint:
+def recover_point(t_adj: AdjustedTimes, p: SystemParams) -> RecoveredPoint:
+    """Reconstruct the seed section coordinates from adjusted times.
+
+    Uses the zero-anchored grid (the normalized representative with
+    ``t_tilde[0] = 0``).  For an idealized orbit the reconstruction
+    round-trips the true seed height and first exit radius.
+    """
+    t1, t2 = t_adj.t_odd_zero[0], t_adj.t_even_zero[1]
     if not (t1 > 0.0 and t2 > t1):
         raise InvalidTimes(
             f"need 0 < t1 < t2 in the adjusted schedule, got t1={float(t1)}, "
             f"t2={float(t2)}"
         )
-    d = derive_constants(g)
-    z0_log = -asld(g.E1) * t1 - np.log(asld(g.a))
+    d = derive_constants(p)
+    z0_log = -asld(p.E1) * t1 - np.log(asld(p.a))
     if not (z0_log < 0.0):
         raise InvalidTimes(
             "adjusted first leg is too short to correspond to an interior "
             f"seed height (recovered log height {float(z0_log)} >= 0)"
         )
-    rho1_log = -asld(g.E2) * (t2 - t1)
+    rho1_log = -asld(p.E2) * (t2 - t1)
     combo = d.invariants.omega_combo
     theta0 = combo * (t2 / (d.gamma1 + LD(1.0)) - (t2 - t1) / d.gamma1)
     return RecoveredPoint(
@@ -98,19 +105,25 @@ def _recover(t1: np.longdouble, t2: np.longdouble, g: SystemParams) -> Recovered
     )
 
 
-def recover_point(t_adj: AdjustedTimes, p: SystemParams) -> RecoveredPoint:
-    """Reconstruct the seed section coordinates from adjusted times.
+def _adjusted_image(
+    q0: SectionPoint, p: SystemParams, g: SystemParams, n_pairs: int,
+    strict: bool, hint: str = "",
+) -> tuple[AdjustedTimes, RecoveredPoint]:
+    """Adjusted times of ``q0``'s orbit under ``p`` and their image in ``g``.
 
-    Uses the zero-anchored grid (the normalized representative with
-    ``t_tilde[0] = 0``).  For an idealized orbit the reconstruction
-    round-trips the true seed height and first exit radius.
+    One adjusted loop beyond the measured ones gives the closing odd
+    crossing a partner; the image reads only ``T0`` and so does not
+    depend on the adjusted loop count.
     """
-    return _recover(t_adj.t_odd_zero[0], t_adj.t_even_zero[1], p)
-
-
-def _check_invariants(p: SystemParams, g: SystemParams) -> np.ndarray:
     devs = np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array())
-    return devs
+    if strict and np.any(devs > _INVARIANT_TOL):
+        raise InvariantMismatch(
+            "systems do not share the invariant tuple; componentwise "
+            f"deviations {[float(x) for x in devs]} exceed {_INVARIANT_TOL}{hint}"
+        )
+    h = generate_hitting_sequence(q0, p, n_pairs)
+    adj = adjusted_sequence(h, derive_constants(p), n_pairs + 1)
+    return adj, recover_point(adj, g)
 
 
 def map_H(
@@ -128,15 +141,7 @@ def map_H(
         than 1e-9 — the construction is only meaningful inside one
         conjugacy class.
     """
-    devs = _check_invariants(p, g)
-    if np.any(devs > _INVARIANT_TOL):
-        raise InvariantMismatch(
-            "systems do not share the invariant tuple; componentwise "
-            f"deviations {[float(x) for x in devs]} exceed {_INVARIANT_TOL}"
-        )
-    h = generate_hitting_sequence(q0, p, n_pairs)
-    adj = adjusted_sequence(h, derive_constants(p))
-    return _recover(adj.t_odd_zero[0], adj.t_even_zero[1], g)
+    return _adjusted_image(q0, p, g, n_pairs, strict=True)[1]
 
 
 def verify_conjugacy(
@@ -161,18 +166,10 @@ def verify_conjugacy(
     the geometric divergence separating non-conjugate systems; the
     verdict then simply comes back false.
     """
-    devs = _check_invariants(p, g)
-    mismatched = bool(np.any(devs > _INVARIANT_TOL))
-    if mismatched and strict:
-        raise InvariantMismatch(
-            "systems do not share the invariant tuple; componentwise "
-            f"deviations {[float(x) for x in devs]} exceed {_INVARIANT_TOL}; "
-            "pass strict=False to observe the divergence anyway"
-        )
-    h = generate_hitting_sequence(q0, p, n_pairs)
-    # one extra adjusted loop so the closing odd crossing has a partner
-    adj = adjusted_sequence(h, derive_constants(p), n_pairs + 1)
-    image = _recover(adj.t_odd_zero[0], adj.t_even_zero[1], g)
+    adj, image = _adjusted_image(
+        q0, p, g, n_pairs, strict,
+        hint="; pass strict=False to observe the divergence anyway",
+    )
 
     seed_bar = SectionPoint(
         chart="Out2", theta_lifted=image.theta0, log_coord=image.z0_log

@@ -199,13 +199,12 @@ def estimate_invariants(h: HittingSequence) -> InvariantTuple:
     delta_hat = gamma1_hat * gamma2_hat
     tau_log_a_hat = -(T[-1] - delta_hat * T[-2])
 
-    thetas = np.array([q.theta_lifted for q in h.points], dtype=LD)
-    omega2_hat = (thetas[2 * P] - thetas[2 * P - 1]) / u[P - 1]
+    omega2_hat = (h.theta[2 * P] - h.theta[2 * P - 1]) / u[P - 1]
 
     # exact per-loop relation theta[2i+1] = x*theta[2i] + w*s[i]; two rows
     # from the final loops pin (x, w) = (1/a, omega1)
-    q1, q2 = thetas[2 * (P - 1)], thetas[2 * P]
-    y1, y2 = thetas[2 * (P - 1) + 1], thetas[2 * P + 1]
+    q1, q2 = h.theta[2 * (P - 1)], h.theta[2 * P]
+    y1, y2 = h.theta[2 * (P - 1) + 1], h.theta[2 * P + 1]
     s1, s2 = s[P - 1], s[P]
     det = q1 * s2 - q2 * s1
     scale = max(abs(q1 * s2), abs(q2 * s1), LD(1.0))
@@ -257,7 +256,7 @@ def perturbation_decay_slope(h: HittingSequence, p: SystemParams) -> float:
         floor = LD(1e3) * eps_ld * max(abs(u[i]), abs(d.gamma1 * s[i]), LD(1.0))
         val = abs(lemma2[i])
         if val > floor:
-            xs.append(float(log_a + h.points[2 * i].log_coord))
+            xs.append(float(log_a + h.log_coord[2 * i]))
             ys.append(float(np.log(val)))
     if len(xs) < 2:
         raise InsufficientData(

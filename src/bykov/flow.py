@@ -38,7 +38,7 @@ import numpy as np
 
 from ._num import LD, TWO_PI, asld
 from .errors import DegenerateInput, OutOfSojourn
-from .params import SystemParams, derive_constants, validate_params
+from .params import PerturbationSpec, SystemParams, derive_constants, validate_params
 
 __all__ = [
     "CHARTS",
@@ -78,13 +78,7 @@ class SectionPoint:
             )
         object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
         object.__setattr__(self, "log_coord", asld(self.log_coord))
-        if not np.isfinite(self.theta_lifted):
-            raise DegenerateInput(f"theta_lifted is not finite: {self.theta_lifted}")
-        if not np.isfinite(self.log_coord) or not (self.log_coord < 0.0):
-            raise DegenerateInput(
-                "log_coord must be finite and strictly negative "
-                f"(point off the connection), got {self.log_coord}"
-            )
+        _check_crossing(self.theta_lifted, self.log_coord)
 
     @property
     def theta(self) -> np.longdouble:
@@ -127,14 +121,35 @@ class FlowState:
         return np.mod(self.theta_lifted, TWO_PI)
 
 
+def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:
+    """The section-point checks, on raw values (see :class:`SectionPoint`)."""
+    if not np.isfinite(theta_lifted):
+        raise DegenerateInput(f"theta_lifted is not finite: {theta_lifted}")
+    if not np.isfinite(log_coord) or not (log_coord < 0.0):
+        raise DegenerateInput(
+            "log_coord must be finite and strictly negative "
+            f"(point off the connection), got {log_coord}"
+        )
+
+
 def _require_chart(q: SectionPoint, chart: str, op: str) -> None:
     if q.chart != chart:
         raise DegenerateInput(f"{op} expects a point on {chart}, got {q.chart}")
 
 
-def _relabel_out1_in2(q: SectionPoint) -> SectionPoint:
-    # The z=1 lid of V1 *is* the z=1 lid of V2; only the chart name changes.
-    return SectionPoint(chart="In2", theta_lifted=q.theta_lifted, log_coord=q.log_coord)
+def _leg_constants(p: SystemParams) -> tuple[tuple, tuple]:
+    """Kernel constants ``(expand, saddle, twist, c, eps)`` of the V1 and the V2 leg.
+
+    Derived once per orbit, validating ``p``; a missing perturbation is
+    the zero one.
+    """
+    d = derive_constants(p)
+    pert = p.perturbation or PerturbationSpec()
+    eps = asld(pert.eps)
+    return (
+        (asld(p.E1), d.delta1, asld(p.omega1), asld(pert.c1), eps),
+        (asld(p.E2), d.delta2, asld(p.omega2), asld(pert.c2), eps),
+    )
 
 
 def _half_transition(
@@ -180,18 +195,8 @@ def phi1(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]
     angle-dependent corrections that vanish with the entry height.
     """
     _require_chart(q, "In1", "phi1")
-    d = derive_constants(p)
-    pert = p.perturbation
-    c = asld(0.0 if pert is None else pert.c1)
-    eps = asld(0.5 if pert is None else pert.eps)
     transit, log_out, theta_out = _half_transition(
-        q.log_coord,
-        q.theta_lifted,
-        expand=asld(p.E1),
-        saddle=d.delta1,
-        twist=asld(p.omega1),
-        c=c,
-        eps=eps,
+        q.log_coord, q.theta_lifted, *_leg_constants(p)[0]
     )
     return SectionPoint("Out1", theta_out, log_out), transit
 
@@ -204,18 +209,8 @@ def phi2(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]
     ``ln z' = delta2 * ln rho`` plus the analogous corrections.
     """
     _require_chart(q, "In2", "phi2")
-    d = derive_constants(p)
-    pert = p.perturbation
-    c = asld(0.0 if pert is None else pert.c2)
-    eps = asld(0.5 if pert is None else pert.eps)
     transit, log_out, theta_out = _half_transition(
-        q.log_coord,
-        q.theta_lifted,
-        expand=asld(p.E2),
-        saddle=d.delta2,
-        twist=asld(p.omega2),
-        c=c,
-        eps=eps,
+        q.log_coord, q.theta_lifted, *_leg_constants(p)[1]
     )
     return SectionPoint("Out2", theta_out, log_out), transit
 
@@ -248,8 +243,8 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     """
     _require_chart(q, "In1", "poincare")
     out1, s = phi1(q, p)
-    in2 = _relabel_out1_in2(out1)
-    out2, u = phi2(in2, p)
+    # the z=1 lid of V1 *is* the z=1 lid of V2; only the chart name changes
+    out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), p)
     return psi21(out2, p), s + u
 
 

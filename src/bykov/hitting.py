@@ -6,23 +6,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD
+from ._num import LD, asld
 from .errors import DegenerateInput, InsufficientData
-from .flow import SectionPoint, _relabel_out1_in2, phi1, phi2, psi21
-from .params import SystemParams, validate_params
+from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants
+from .params import SystemParams
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]
 
 
 @dataclass(frozen=True)
 class HittingSequence:
-    """Crossing times and section points of one orbit.
+    """Crossing times, lifted angles and log-coordinates of one orbit.
 
     Index convention: ``times[0] = 0`` is the seed crossing of ``Out2``;
     ``times[2i]`` is the ``i``-th ``Out2`` crossing and ``times[2i+1]``
     the following ``Out1`` crossing.  A run of ``n_pairs`` loops records
     ``2*n_pairs + 1`` times beyond the seed, so ``times`` has length
     ``2*n_pairs + 2`` and ends on an ``Out1`` crossing.
+
+    ``theta[k]`` and ``log_coord[k]`` are the lifted angle and the log of
+    the non-unit coordinate of crossing ``k``, in the chart given by the
+    parity of ``k``: even indices lie on ``Out2`` (log height), odd ones
+    on ``Out1`` (log radius).
 
     ``sojourns_V1`` holds the ``n_pairs + 1`` passage times through the
     first cylinder, ``sojourns_V2`` the ``n_pairs`` passages through the
@@ -31,7 +36,8 @@ class HittingSequence:
     """
 
     times: np.ndarray
-    points: tuple[SectionPoint, ...]
+    theta: np.ndarray
+    log_coord: np.ndarray
     sojourns_V1: np.ndarray
     sojourns_V2: np.ndarray
     n_pairs: int
@@ -53,38 +59,36 @@ def generate_hitting_sequence(
         )
     if n_pairs < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
-    validate_params(p)
+    leg1, leg2 = _leg_constants(p)
+    a = asld(p.a)
+    log_a = np.log(a)
 
-    times: list[np.longdouble] = [LD(0.0)]
-    points: list[SectionPoint] = [q0]
-    s_legs: list[np.longdouble] = []
-    u_legs: list[np.longdouble] = []
+    n = 2 * n_pairs + 2
+    theta = np.empty(n, dtype=LD)
+    log_coord = np.empty(n, dtype=LD)
+    legs = np.empty(n - 1, dtype=LD)
+    th, lc = q0.theta_lifted, q0.log_coord
+    theta[0], log_coord[0] = th, lc
+    for k in range(1, n):
+        if k % 2:  # reinjection psi21 onto In1, then the V1 sojourn to Out1
+            legs[k - 1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
+        else:  # Out1 is glued to In2; the V2 sojourn to Out2
+            legs[k - 1], lc, th = _half_transition(lc, th, *leg2)
+        # the In1 point in between needs no check of its own: its log height
+        # is log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
+        _check_crossing(th, lc)
+        theta[k], log_coord[k] = th, lc
 
-    current = q0
-    for _ in range(n_pairs):
-        out1, s = phi1(psi21(current, p), p)
-        times.append(times[-1] + s)
-        points.append(out1)
-        s_legs.append(s)
-        out2, u = phi2(_relabel_out1_in2(out1), p)
-        times.append(times[-1] + u)
-        points.append(out2)
-        u_legs.append(u)
-        current = out2
-    # closing V1 sojourn
-    out1, s = phi1(psi21(current, p), p)
-    times.append(times[-1] + s)
-    points.append(out1)
-    s_legs.append(s)
-
-    t = np.array(times, dtype=LD)
-    if not np.all(np.diff(t) > 0):
+    times = np.zeros(n, dtype=LD)
+    np.cumsum(legs, out=times[1:])
+    if not np.all(np.diff(times) > 0):
         raise DegenerateInput("hitting times failed to increase strictly")
     return HittingSequence(
-        times=t,
-        points=tuple(points),
-        sojourns_V1=np.array(s_legs, dtype=LD),
-        sojourns_V2=np.array(u_legs, dtype=LD),
+        times=times,
+        theta=theta,
+        log_coord=log_coord,
+        sojourns_V1=legs[0::2].copy(),
+        sojourns_V2=legs[1::2].copy(),
         n_pairs=n_pairs,
     )
 
@@ -100,10 +104,5 @@ def sojourn_fractions(h: HittingSequence, upto_index: int) -> tuple[np.longdoubl
         raise InsufficientData(
             f"upto_index must lie in [1, {len(h.times) - 1}], got {upto_index}"
         )
-    in_v1 = LD(0.0)
-    for j in range(upto_index):
-        leg = h.times[j + 1] - h.times[j]
-        if j % 2 == 0:  # legs alternate V1, V2, V1, ...
-            in_v1 += leg
-    frac1 = in_v1 / h.times[upto_index]
+    frac1 = h.sojourns_V1[: (upto_index + 1) // 2].sum() / h.times[upto_index]
     return frac1, LD(1.0) - frac1

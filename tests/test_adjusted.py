@@ -144,7 +144,8 @@ def test_single_time_perturbation_leaves_late_family_alone(perturbed):
     u[0] = u[0] + eta
     s[1] = s[1] - eta
     bumped = HittingSequence(
-        times=times, points=h.points, sojourns_V1=s, sojourns_V2=u, n_pairs=h.n_pairs
+        times=times, theta=h.theta, log_coord=h.log_coord,
+        sojourns_V1=s, sojourns_V2=u, n_pairs=h.n_pairs,
     )
     d = derive_constants(PP)
     fam0 = backward_T0_family(h, d)

@@ -115,8 +115,7 @@ def test_index_shift_recovers_later_heights():
     n, N = 10, 3
     h = generate_hitting_sequence(SEED, P, n)
     for N in (1, 2, 3):
-        shifted_seed = h.points[2 * N]
-        assert shifted_seed.chart == "Out2"
+        shifted_seed = SectionPoint("Out2", h.theta[2 * N], h.log_coord[2 * N])
         rec = recover_point(_adjusted(P, seed=shifted_seed, n=n - N), P)
         np.testing.assert_allclose(
             float(rec.z0_log), float(shifted_seed.log_coord), rtol=1e-9

@@ -124,13 +124,11 @@ def test_estimate_rejects_incoherent_times():
     legs = np.empty(2 * n + 1, dtype=LD)
     legs[0::2], legs[1::2] = s, u
     times = np.concatenate(([LD(0.0)], np.cumsum(legs)))
-    charts = ["Out2"] + ["Out1", "Out2"] * n + ["Out1"]
-    points = tuple(
-        SectionPoint(chart=c, theta_lifted=float(rng.uniform(0, 50)), log_coord=-1.0)
-        for c in charts
-    )
+    theta = np.array([rng.uniform(0, 50) for _ in range(2 * n + 2)], dtype=LD)
+    log_coord = np.full(2 * n + 2, -1.0, dtype=LD)
     fake = HittingSequence(
-        times=times, points=points, sojourns_V1=s, sojourns_V2=u, n_pairs=n
+        times=times, theta=theta, log_coord=log_coord,
+        sojourns_V1=s, sojourns_V2=u, n_pairs=n,
     )
     with pytest.raises(NonConvergent):
         estimate_invariants(fake)

@@ -14,6 +14,9 @@ from bykov import (
     generate_hitting_sequence,
     sojourn_fractions,
 )
+import bykov.flow
+import bykov.hitting
+import bykov.params
 from bykov.acceptance import ideal_closed_form_times
 
 LD = np.longdouble
@@ -48,16 +51,18 @@ def test_sequence_layout():
     n = 6
     h = generate_hitting_sequence(SEED, P, n)
     assert len(h.times) == 2 * n + 2
-    assert len(h.points) == 2 * n + 2
+    assert len(h.theta) == 2 * n + 2
+    assert len(h.log_coord) == 2 * n + 2
     assert len(h.sojourns_V1) == n + 1
     assert len(h.sojourns_V2) == n
     assert h.n_pairs == n
     assert h.times[0] == 0.0
     assert all(b > a for a, b in zip(h.times, h.times[1:]))
-    charts = [q.chart for q in h.points]
-    assert charts[0] == "Out2"
-    assert charts[1::2] == ["Out1"] * (n + 1)
-    assert charts[2::2] == ["Out2"] * n
+    assert h.theta[0] == SEED.theta_lifted
+    assert h.log_coord[0] == SEED.log_coord
+    assert np.all(h.log_coord < 0)
+    for arr in (h.theta, h.log_coord):
+        assert arr.dtype == np.dtype(np.longdouble)
 
 
 def test_times_are_cumulative_sojourns():
@@ -128,10 +133,10 @@ def test_perturbed_times_reference():
     ]
     np.testing.assert_allclose(h.times[1:5], ref, rtol=1e-15)
     np.testing.assert_allclose(
-        float(h.points[1].theta_lifted), 4.995743639771826314, rtol=1e-16
+        float(h.theta[1]), 4.995743639771826314, rtol=1e-16
     )
     np.testing.assert_allclose(
-        float(h.points[2].log_coord), -11.98702515139018758, rtol=1e-16
+        float(h.log_coord[2]), -11.98702515139018758, rtol=1e-16
     )
 
 
@@ -144,3 +149,28 @@ def test_perturbed_first_crossing_equals_idealized():
     hi = generate_hitting_sequence(SEED, P, 1)
     hp = generate_hitting_sequence(SEED, pp, 1)
     assert float(hi.times[1]) == float(hp.times[1])
+
+
+def test_constants_derived_once_per_orbit(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return bykov.params.derive_constants(p)
+
+    for module in (bykov.flow, bykov.hitting):
+        monkeypatch.setattr(module, "derive_constants", counting, raising=False)
+    generate_hitting_sequence(SEED, P, 6)
+    assert calls == [P]
+
+
+def test_each_crossing_is_checked_as_it_is_produced():
+    # the first radial kick throws the Out1 crossing off the connection
+    # (log radius +0.108); stepping on from it would hide that
+    pp = SystemParams(
+        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
+        perturbation=PerturbationSpec(c1=10, c2=0, eps=0.5),
+    )
+    seed = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=float(np.log(0.9)))
+    with pytest.raises(DegenerateInput, match="strictly negative"):
+        generate_hitting_sequence(seed, pp, 3)

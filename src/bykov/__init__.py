@@ -12,7 +12,6 @@ from .adjusted import (
     AdjustedTimes,
     adjusted_sequence,
     backward_T0_family,
-    backward_chain,
     shift_invariance_check,
 )
 from .birkhoff import (
@@ -86,7 +85,6 @@ __all__ = [
     "SystemParams",
     "adjusted_sequence",
     "backward_T0_family",
-    "backward_chain",
     "birkhoff_average",
     "corollary_ratios",
     "derive_constants",

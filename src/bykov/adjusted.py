@@ -2,15 +2,16 @@
 
 The loop durations ``T[i] = t[2i+2] - t[2i]`` of a perturbed orbit obey
 the idealized recursion ``T[i] = delta*T[i-1] - tau*ln(a)`` only up to a
-summable residual.  Chaining each measured ``T[i]`` backward through the
-exact recursion,
+summable residual.  Chaining each measured ``T[i]`` backward ``i`` times
+through the exact recursion,
 
     chain step:  previous = (value + tau*ln(a)) / delta,
 
 produces a family of candidate zeroth durations whose successive
-differences shrink geometrically; its limit ``T0`` seeds an exactly
-recursive duration sequence ``T_seq`` and from it two adjusted time
-grids:
+differences shrink geometrically (all loops are carried back together,
+each rounded step by step as a scalar chain would be); its limit ``T0``
+seeds an exactly recursive duration sequence ``T_seq`` and from it two
+adjusted time grids:
 
 * zero-anchored (``t_even_zero[0] = 0``): the normalized representative
   that coordinate recovery consumes;
@@ -41,7 +42,6 @@ from .params import DerivedConstants
 
 __all__ = [
     "AdjustedTimes",
-    "backward_chain",
     "backward_T0_family",
     "adjusted_sequence",
     "shift_invariance_check",
@@ -73,34 +73,31 @@ def _loop_durations(h: HittingSequence) -> np.ndarray:
     return h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
 
 
-def backward_chain(value, steps: int, d: DerivedConstants) -> np.ndarray:
-    """Chain a duration backward ``steps`` times through the recursion.
+def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
+    """Carry each ``T[i]`` back ``i`` chain steps, all elements at once.
 
-    Returns the whole chain, index ``j`` holding the duration ``j`` steps
-    before ``value`` (so ``chain[0] == value``).
+    Pass ``j`` applies the chain step to ``family[j:]``, so element ``i``
+    takes exactly ``i`` steps in the order a scalar chain takes them.
     """
-    out = np.empty(steps + 1, dtype=LD)
-    out[0] = value
-    for j in range(steps):
-        out[j + 1] = (out[j] + d.invariants.tau_log_a) / d.delta
-    return out
+    family = np.array(T, dtype=LD)
+    for j in range(1, len(family)):
+        family[j:] = (family[j:] + d.invariants.tau_log_a) / d.delta
+    return family
 
 
 def backward_T0_family(h: HittingSequence, d: DerivedConstants) -> np.ndarray:
     """Candidate zeroth durations, one per measured loop.
 
-    Element ``i`` carries ``T[i]`` all the way back to index 0; in the
-    idealized model the family is constant, and in general successive
-    differences equal the recursion residuals scaled by ``delta**-(i+1)``.
+    Element ``i`` carries ``T[i]`` all the way back to index 0, ``i``
+    chain steps rounded one by one; in the idealized model the family is
+    constant, and in general successive differences equal the recursion
+    residuals scaled by ``delta**-(i+1)``.
     """
     if h.n_pairs < 2:
         raise InsufficientData(
             f"the backward family needs at least 2 loops, got {h.n_pairs}"
         )
-    T = _loop_durations(h)
-    return np.array(
-        [backward_chain(T[i], i, d)[-1] for i in range(len(T))], dtype=LD
-    )
+    return _carry_back(_loop_durations(h), d)
 
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
@@ -166,23 +163,17 @@ def adjusted_sequence(
 def shift_invariance_check(h: HittingSequence, d: DerivedConstants, N: int) -> float:
     """Rebuild the backward family anchored at loop ``N`` and compare.
 
-    Starting the extraction at ``T[N]`` instead of ``T[0]`` must land on
-    the forward iterate of the same limit:
-    ``T_seq[N] = delta**N * T0 - (sum of delta**j for j < N)*tau*ln(a)``.
-    Returns the largest absolute deviation of the re-anchored family from
-    that value; for idealized input it is rounding-level, and in general
-    it is controlled by the residual tail beyond loop ``N``.
+    Carrying each ``T[i]``, ``i >= N``, back ``i - N`` steps (instead of
+    ``i``) must land on the forward iterate of the same limit,
+    ``T_seq[N]`` of :func:`adjusted_sequence`.  Returns the largest
+    absolute deviation of the re-anchored family from that value; for
+    idealized input it is rounding-level, and in general it is controlled
+    by the residual tail beyond loop ``N``.
     """
     if N < 0 or N >= h.n_pairs - 2:
         raise InsufficientData(
             f"shift check needs 0 <= N < n_pairs - 2 = {h.n_pairs - 2}, got {N}"
         )
-    T = _loop_durations(h)
-    family_N = np.array(
-        [backward_chain(T[i], i - N, d)[-1] for i in range(N, len(T))], dtype=LD
-    )
-    adj = adjusted_sequence(h, d)
-    target = adj.T0
-    for _ in range(N):
-        target = d.delta * target - d.invariants.tau_log_a
+    family_N = _carry_back(_loop_durations(h)[N:], d)
+    target = adjusted_sequence(h, d).T_seq[N]
     return float(np.max(np.abs(family_N - target)))

@@ -68,9 +68,20 @@ def _number(obj: dict, key: str, path: str) -> float:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseError(f"expected a number, got {type(val).__name__}", f"{path}.{key}")
-    if not math.isfinite(val):
+    try:
+        num = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
         raise ParseError("value must be finite", f"{path}.{key}")
-    return float(val)
+    return num
+
+
+def _check_tol(tol: float) -> float:
+    """The tolerance of a verdict, from the config or from ``--tol``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConstraintViolation(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 def _system_params(obj: Any, path: str) -> SystemParams:
@@ -163,11 +174,7 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
             kwargs["g_boundary"] = _number(sub, "g_boundary", "$.observable")
         observable = Observable(kind=kind, **kwargs)
 
-    tol = None
-    if "tol" in doc:
-        tol = _number(doc, "tol", "$")
-        if not (tol > 0):
-            raise ConstraintViolation(f"tol must be positive, got {tol}")
+    tol = _check_tol(_number(doc, "tol", "$")) if "tol" in doc else None
 
     return ExperimentConfig(
         params=params,
@@ -375,7 +382,7 @@ def run_experiment(
     n = pairs if pairs is not None else cfg.n_pairs
     if n < 1:
         raise ConstraintViolation(f"pair count must be at least 1, got {n}")
-    tol = tol if tol is not None else cfg.tol
+    tol = cfg.tol if tol is None else _check_tol(tol)
     seed = SectionPoint(
         chart="Out2", theta_lifted=cfg.theta0, log_coord=float(np.log(cfg.z0))
     )

@@ -242,10 +242,11 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     exactly.
     """
     _require_chart(q, "In1", "poincare")
-    out1, s = phi1(q, p)
-    # the z=1 lid of V1 *is* the z=1 lid of V2; only the chart name changes
-    out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), p)
-    return psi21(out2, p), s + u
+    leg1, leg2 = _leg_constants(p)
+    s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
+    _check_crossing(theta1, log1)  # the Out1 crossing, glued to In2 unchanged
+    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+    return psi21(SectionPoint("Out2", theta2, log2), p), s + u
 
 
 def section_state(q: SectionPoint) -> FlowState:

@@ -15,11 +15,11 @@ from bykov import (
     SystemParams,
     adjusted_sequence,
     backward_T0_family,
-    backward_chain,
     derive_constants,
     generate_hitting_sequence,
     shift_invariance_check,
 )
+from bykov.adjusted import _carry_back
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -43,12 +43,39 @@ def perturbed():
     return h, adjusted_sequence(h, derive_constants(PP))
 
 
+def _scalar_chain(value, steps, d):
+    """The chain step written out longhand, one scalar at a time."""
+    for _ in range(steps):
+        value = (value + d.invariants.tau_log_a) / d.delta
+    return value
+
+
 def test_backward_chain_step():
     # one pull-back of the second loop duration lands on the first
     T1 = LD("29.57751130781045499404")  # t4 - t2
-    chain = backward_chain(T1, 1, D)
-    assert chain.shape == (2,)
-    np.testing.assert_allclose(chain[1], LD("6.990041971625978984682"), rtol=1e-17)
+    family = _carry_back(np.array([T1, T1], dtype=LD), D)
+    assert family.shape == (2,)
+    assert family[0] == T1  # element 0 takes no step
+    np.testing.assert_allclose(family[1], LD("6.990041971625978984682"), rtol=1e-17)
+
+
+@pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
+def test_family_matches_longhand_chain_bitwise(params):
+    d = derive_constants(params)
+    h = generate_hitting_sequence(SEED, params, 200)
+    T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
+    reference = np.array([_scalar_chain(T[i], i, d) for i in range(len(T))], dtype=LD)
+    adj = adjusted_sequence(h, d)
+    assert np.array_equal(adj.T0_family, reference)
+    for N in range(4):
+        target = adj.T0
+        for _ in range(N):
+            target = d.delta * target - d.invariants.tau_log_a
+        family_N = np.array(
+            [_scalar_chain(T[i], i - N, d) for i in range(N, len(T))], dtype=LD
+        )
+        expected = float(np.max(np.abs(family_N - target)))
+        assert shift_invariance_check(h, d, N) == expected
 
 
 def test_family_is_constant_without_perturbation(ideal):

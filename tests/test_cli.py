@@ -226,3 +226,25 @@ def test_pairs_override_wins_over_config(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--pairs", "2"]) == 0
     with open(out / "hitting.csv", newline="") as f:
         assert len(list(csv.reader(f))) - 1 == 2 * 2 + 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("subcommand", ["birkhoff", "conjugacy"])
+def test_tol_option_is_checked_like_the_config(tmp_path, capsys, subcommand, tol):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(_dump(dict(BASE_CONFIG, params_g=MATCHED_G)))
+    argv = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"), "--tol", tol]
+    assert main(argv) == 1
+    assert "tol" in capsys.readouterr().err
+
+
+def test_oversized_integer_is_a_parse_error(tmp_path, capsys):
+    text = json.dumps(BASE_CONFIG).replace('"a": 0.5', '"a": 1' + "0" * 400)
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.path == "$.params.a"
+    assert "finite" in str(err.value)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "$.params.a" in capsys.readouterr().err

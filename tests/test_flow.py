@@ -121,6 +121,22 @@ def test_perturbed_phi1_matches_direct_formula():
     np.testing.assert_allclose(float(out.theta_lifted), float(theta_out), rtol=1e-17)
 
 
+def test_poincare_is_the_composition_of_its_legs():
+    """poincare = psi21 . phi2 . (Out1 == In2) . phi1, bit for bit."""
+    pp = SystemParams(
+        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
+        perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
+    )
+    q = SectionPoint(chart="In1", theta_lifted=0.7, log_coord=float(np.log(0.05)))
+    for _ in range(6):
+        out1, s = phi1(q, pp)
+        out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), pp)
+        expected = psi21(out2, pp)
+        q, sojourn = poincare(q, pp)
+        assert q == expected
+        assert sojourn == s + u
+
+
 def test_perturbation_cannot_push_through_axis():
     # a correction of relative size < -1 would mean a negative radius
     pp = SystemParams(

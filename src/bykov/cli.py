@@ -11,10 +11,16 @@ conjugacy     replay on the companion system     -> conjugacy.json (exit 2
               on a false verdict)
 verify-all    the full acceptance table          -> stdout
 
-Exit codes: 0 success, 2 a verdict came back false, 1 any error.  Output
-files are written atomically (temp file + rename) with LF endings and 17
-significant digits, so identical configs produce identical bytes.  Set
-``BYKOV_LOG=DEBUG`` (or any standard level name) for progress logging.
+The first five take ``--config FILE`` (required), ``--out DIR`` and
+``--pairs N``; ``birkhoff`` and ``conjugacy``, the two with a verdict,
+also take ``--tol X``.  ``verify-all`` reads no config and writes no
+files: it takes only ``--out``, and ignores it.
+
+Exit codes: 0 success, 2 a verdict came back false, 1 any error, usage
+errors included.  Output files are written atomically (temp file +
+rename) with LF endings and 17 significant digits, so identical configs
+produce identical bytes.  Set ``BYKOV_LOG=DEBUG`` (or any standard level
+name) for progress logging.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -42,11 +49,29 @@ from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
 from .params import PerturbationSpec, SystemParams, derive_constants, validate_params
 
-__all__ = ["ExperimentConfig", "parse_config", "run_experiment", "emit_csv", "main"]
+__all__ = ["ExperimentConfig", "parse_config", "emit_csv", "main"]
 
 log = logging.getLogger("bykov")
 
-_PARAM_KEYS = ("C1", "E1", "omega1", "C2", "E2", "omega2", "a")
+_PARAMS = (("C1", "E1", "omega1", "C2", "E2", "omega2", "a"), (), ("perturbation",))
+
+# Each JSON object of a config -> (required numbers, optional numbers, other
+# keys it may hold); any further key is warned about and ignored.
+_FIELDS = {
+    "params": _PARAMS,
+    "params_g": _PARAMS,
+    "perturbation": (("c1", "c2", "eps"), (), ()),
+    "seed": (("theta0", "z0"), (), ()),
+    "observable": (("g_sigma1", "g_sigma2"), ("m", "g_boundary"), ("kind",)),
+}
+_TOP_LEVEL = ("params", "params_g", "seed", "n_pairs", "observable", "tol")
+
+# What an absent key means; the defaults are parsed like any config.
+_DEFAULTS = {
+    "seed": {"theta0": 1.0, "z0": 0.1},
+    "n_pairs": 12,
+    "observable": {"kind": "piecewise_constant", "g_sigma1": 0.0, "g_sigma2": 1.0},
+}
 
 
 @dataclass(frozen=True)
@@ -84,21 +109,29 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _system_params(obj: Any, path: str) -> SystemParams:
+def _warn_unknown(obj: dict, path: str, known: Sequence[str]) -> None:
+    for key in obj:
+        if key not in known:
+            log.warning("ignoring unknown config key %r", f"{path}.{key}")
+
+
+def _fields(parent: dict, key: str, path: str) -> dict[str, float]:
+    """The numeric fields of the object ``parent[key]``, by its row of ``_FIELDS``."""
+    obj, path = parent[key], f"{path}.{key}"
     if not isinstance(obj, dict):
         raise ParseError("expected an object", path)
-    kwargs = {key: _number(obj, key, path) for key in _PARAM_KEYS}
+    required, optional, other = _FIELDS[key]
+    _warn_unknown(obj, path, required + optional + other)
+    present = required + tuple(k for k in optional if k in obj)
+    return {k: _number(obj, k, path) for k in present}
+
+
+def _system_params(doc: dict, key: str) -> SystemParams:
+    fields = _fields(doc, key, "$")
     pert = None
-    if "perturbation" in obj:
-        sub = obj["perturbation"]
-        if not isinstance(sub, dict):
-            raise ParseError("expected an object", f"{path}.perturbation")
-        pert = PerturbationSpec(
-            c1=_number(sub, "c1", f"{path}.perturbation"),
-            c2=_number(sub, "c2", f"{path}.perturbation"),
-            eps=_number(sub, "eps", f"{path}.perturbation"),
-        )
-    return validate_params(SystemParams(**kwargs, perturbation=pert))
+    if "perturbation" in doc[key]:
+        pert = PerturbationSpec(**_fields(doc[key], "perturbation", f"$.{key}"))
+    return validate_params(SystemParams(**fields, perturbation=pert))
 
 
 def parse_config(text: bytes | str) -> ExperimentConfig:
@@ -109,7 +142,7 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
     ``$.params.a``); admissibility problems (a parameter outside the
     model inequalities, a seed off the section) raise
     :class:`~bykov.errors.ConstraintViolation` immediately rather than
-    at first use.
+    at first use.  Unknown keys, at any level, are logged and ignored.
     """
     if isinstance(text, bytes):
         try:
@@ -124,63 +157,37 @@ def parse_config(text: bytes | str) -> ExperimentConfig:
         raise ParseError("top level must be an object", "$")
     if "params" not in doc:
         raise ParseError("missing required key", "$.params")
+    _warn_unknown(doc, "$", _TOP_LEVEL)
+    doc = {**_DEFAULTS, **doc}
 
-    known = {"params", "params_g", "seed", "n_pairs", "observable", "tol"}
-    for key in doc:
-        if key not in known:
-            log.warning("ignoring unknown config key %r", key)
+    params = _system_params(doc, "params")
+    params_g = _system_params(doc, "params_g") if "params_g" in doc else None
 
-    params = _system_params(doc["params"], "$.params")
-    params_g = (
-        _system_params(doc["params_g"], "$.params_g") if "params_g" in doc else None
-    )
+    seed = _fields(doc, "seed", "$")
+    if not (0.0 < seed["z0"] < 1.0):
+        raise ConstraintViolation(
+            f"seed height z0 must lie strictly between 0 and 1, got {seed['z0']}"
+        )
 
-    theta0, z0 = 1.0, 0.1
-    if "seed" in doc:
-        seed = doc["seed"]
-        if not isinstance(seed, dict):
-            raise ParseError("expected an object", "$.seed")
-        theta0 = _number(seed, "theta0", "$.seed")
-        z0 = _number(seed, "z0", "$.seed")
-        if not (0.0 < z0 < 1.0):
-            raise ConstraintViolation(
-                f"seed height z0 must lie strictly between 0 and 1, got {z0}"
-            )
+    n_pairs = doc["n_pairs"]
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
+        raise ParseError("expected an integer", "$.n_pairs")
+    if n_pairs < 1:
+        raise ConstraintViolation(f"n_pairs must be at least 1, got {n_pairs}")
 
-    n_pairs = 12
-    if "n_pairs" in doc:
-        val = doc["n_pairs"]
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ParseError("expected an integer", "$.n_pairs")
-        if val < 1:
-            raise ConstraintViolation(f"n_pairs must be at least 1, got {val}")
-        n_pairs = val
-
-    observable = Observable(kind="piecewise_constant", g_sigma1=0.0, g_sigma2=1.0)
-    if "observable" in doc:
-        sub = doc["observable"]
-        if not isinstance(sub, dict):
-            raise ParseError("expected an object", "$.observable")
-        kind = sub.get("kind")
-        if not isinstance(kind, str):
-            raise ParseError("expected a string 'kind'", "$.observable.kind")
-        kwargs: dict[str, float] = {
-            "g_sigma1": _number(sub, "g_sigma1", "$.observable"),
-            "g_sigma2": _number(sub, "g_sigma2", "$.observable"),
-        }
-        if "m" in sub:
-            kwargs["m"] = _number(sub, "m", "$.observable")
-        if "g_boundary" in sub:
-            kwargs["g_boundary"] = _number(sub, "g_boundary", "$.observable")
-        observable = Observable(kind=kind, **kwargs)
+    obs = doc["observable"]
+    if isinstance(obs, dict) and not isinstance(obs.get("kind"), str):
+        raise ParseError("expected a string 'kind'", "$.observable.kind")
+    numbers = _fields(doc, "observable", "$")
+    observable = Observable(kind=obs["kind"], **numbers)
 
     tol = _check_tol(_number(doc, "tol", "$")) if "tol" in doc else None
 
     return ExperimentConfig(
         params=params,
         params_g=params_g,
-        theta0=theta0,
-        z0=z0,
+        theta0=seed["theta0"],
+        z0=seed["z0"],
         n_pairs=n_pairs,
         observable=observable,
         tol=tol,
@@ -205,6 +212,9 @@ def _atomic_write(path: Path, write_body) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        umask = os.umask(0)  # read it: mkstemp creates the file as 0600
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as f:
             write_body(f)
         os.replace(tmp, path)
@@ -232,13 +242,8 @@ def emit_csv(series: Iterable[Sequence[Any]], path, *, header: Sequence[str]) ->
     _atomic_write(Path(path), body)
 
 
-def _series_cell(arr: np.ndarray | None, i: int):
-    if arr is None or i >= len(arr):
-        return None
-    return arr[i]
-
-
-def _run_simulate(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) -> int:
+def _run_simulate(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
+                  tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
     rows = [
         (k, t, "Out1" if k % 2 else "Out2", theta, log_coord)
@@ -250,26 +255,13 @@ def _run_simulate(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) 
     return 0
 
 
-def _run_diagnostics(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) -> int:
+def _run_diagnostics(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
+                     tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
-    d = derive_constants(cfg.params)
-    lem = lemma_diagnostics(h, d)
-    rat = corollary_ratios(h, cfg.params).ratios
-    rows = []
-    for i in range(n + 1):
-        rows.append(
-            (
-                i,
-                _series_cell(lem.lemma1, i),
-                _series_cell(lem.lemma2, i),
-                _series_cell(lem.lemma3, i),
-                _series_cell(lem.residuals, i),
-                _series_cell(rat[0], i),
-                _series_cell(rat[1], i),
-                _series_cell(rat[2], i),
-                _series_cell(rat[3], i),
-            )
-        )
+    lem = lemma_diagnostics(h, derive_constants(cfg.params))
+    # n + 1 rows; a column with fewer entries is blank at its end
+    rows = zip_longest(range(n + 1), lem.lemma1, lem.lemma2, lem.lemma3, lem.residuals,
+                       *corollary_ratios(h, cfg.params).ratios)
     emit_csv(rows, out / "diagnostics.csv",
              header=["i", "lemma1", "lemma2", "lemma3", "residual",
                      "ratio1", "ratio2", "ratio3", "ratio4"])
@@ -278,47 +270,35 @@ def _run_diagnostics(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: in
 
 
 def _run_birkhoff(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
-                  tol: float | None) -> int:
-    series = birkhoff_average(seed, cfg.params, cfg.observable, upto_index=2 * n)
-    rows = []
-    by_index = {}
-    for avg, t, k in zip(series.even_averages, series.even_times, series.even_indices):
-        by_index[int(k)] = ("even", t, avg, series.predicted_even)
-    for avg, t, k in zip(series.odd_averages, series.odd_times, series.odd_indices):
-        by_index[int(k)] = ("odd", t, avg, series.predicted_odd)
-    for k in sorted(by_index):
-        parity, t, avg, pred = by_index[k]
-        rows.append((parity, k, t, avg, pred, abs(avg - pred)))
+                  tol: float) -> int:
+    s = birkhoff_average(seed, cfg.params, cfg.observable, upto_index=2 * n)
+
+    def parity_rows(parity, indices, times, averages, pred):
+        return [(parity, k, t, avg, pred, abs(avg - pred))
+                for k, t, avg in zip(indices, times, averages)]
+
+    odd = parity_rows("odd", s.odd_indices, s.odd_times, s.odd_averages, s.predicted_odd)
+    even = parity_rows("even", s.even_indices, s.even_times, s.even_averages,
+                       s.predicted_even)
+    # the indices run 1, 2, ..., 2n: odd and even rows alternate
+    rows = [row for pair in zip(odd, even) for row in pair]
     emit_csv(rows, out / "birkhoff.csv",
              header=["parity", "index", "time", "average", "predicted", "abs_error"])
-    cert = historic_certificate(series, tol=tol if tol is not None else 1e-3)
+    cert = historic_certificate(s, tol=tol)
     log.info("wrote %s; certificate %s (gap %g)", out / "birkhoff.csv",
              cert.verdict, cert.gap)
     print(f"historic certificate: {cert.verdict} (predicted gap {cert.gap:.6g})")
     return 0 if cert.verdict else 2
 
 
-def _run_adjusted(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) -> int:
+def _run_adjusted(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
+                  tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
-    d = derive_constants(cfg.params)
-    adj = adjusted_sequence(h, d)
+    adj = adjusted_sequence(h, derive_constants(cfg.params))
     T = h.sojourns_V1[:n] + h.sojourns_V2
-    rows = []
-    for i in range(n):
-        t_even = h.times[2 * i]
-        t_odd = h.times[2 * i + 1]
-        rows.append(
-            (
-                i,
-                T[i],
-                adj.T_seq[i],
-                t_even,
-                adj.t_even[i],
-                t_odd,
-                adj.t_odd[i],
-                t_even - adj.t_even[i],
-            )
-        )
+    columns = zip(T, adj.T_seq, h.times[0::2], adj.t_even, h.times[1::2], adj.t_odd)
+    rows = [(i, Ti, Ttil, te, tte, to, tto, te - tte)
+            for i, (Ti, Ttil, te, tte, to, tto) in enumerate(columns)]
     emit_csv(rows, out / "adjusted.csv",
              header=["i", "T", "Ttil", "t_even", "t_til_even",
                      "t_odd", "t_til_odd", "diff"])
@@ -328,16 +308,14 @@ def _run_adjusted(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int) 
 
 
 def _run_conjugacy(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
-                   tol: float | None) -> int:
+                   tol: float) -> int:
     if cfg.params_g is None:
         raise ConstraintViolation(
             "the conjugacy subcommand needs a second system: add params_g "
             "to the config"
         )
-    report = verify_conjugacy(
-        seed, cfg.params, cfg.params_g,
-        n_pairs=n, tol=tol if tol is not None else 1e-8, strict=False,
-    )
+    report = verify_conjugacy(seed, cfg.params, cfg.params_g, n_pairs=n, tol=tol,
+                              strict=False)
     payload = {
         "verdict": report.verdict,
         "max_dev": report.max_dev,
@@ -366,72 +344,64 @@ def _run_verify_all() -> int:
     return 0 if n_fail == 0 else 2
 
 
-def run_experiment(
-    cfg: ExperimentConfig | None,
-    subcommand: str,
-    out_dir="out",
-    pairs: int | None = None,
-    tol: float | None = None,
-) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
-    if subcommand == "verify-all":
-        return _run_verify_all()
-    if cfg is None:
-        raise ConstraintViolation(f"subcommand {subcommand!r} needs a config file")
-    out = Path(out_dir)
-    n = pairs if pairs is not None else cfg.n_pairs
-    if n < 1:
-        raise ConstraintViolation(f"pair count must be at least 1, got {n}")
-    tol = cfg.tol if tol is None else _check_tol(tol)
-    seed = SectionPoint(
-        chart="Out2", theta_lifted=cfg.theta0, log_coord=float(np.log(cfg.z0))
-    )
-    if subcommand == "simulate":
-        return _run_simulate(cfg, seed, out, n)
-    if subcommand == "diagnostics":
-        return _run_diagnostics(cfg, seed, out, n)
-    if subcommand == "birkhoff":
-        return _run_birkhoff(cfg, seed, out, n, tol)
-    if subcommand == "adjusted":
-        return _run_adjusted(cfg, seed, out, n)
-    if subcommand == "conjugacy":
-        return _run_conjugacy(cfg, seed, out, n, tol)
-    raise ConstraintViolation(f"unknown subcommand {subcommand!r}")
+# name -> (runner, reads a config, default tolerance of its verdict).  A
+# runner that reads a config is called as run(cfg, seed, out, n, tol); only
+# a subcommand with a verdict has a default tolerance and takes --tol.
+_SUBCOMMANDS = {
+    "simulate": (_run_simulate, True, None),
+    "diagnostics": (_run_diagnostics, True, None),
+    "birkhoff": (_run_birkhoff, True, 1e-3),
+    "adjusted": (_run_adjusted, True, None),
+    "conjugacy": (_run_conjugacy, True, 1e-8),
+    "verify-all": (_run_verify_all, False, None),
+}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any error: exit 2 is a false verdict."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="bykov",
         description="hitting-time experiments on the two-saddle-focus model",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_config in [
-        ("simulate", True),
-        ("diagnostics", True),
-        ("birkhoff", True),
-        ("adjusted", True),
-        ("conjugacy", True),
-        ("verify-all", False),
-    ]:
+    for name, (_, reads_config, tol) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_config, help="JSON config path")
+        if not reads_config:
+            sp.add_argument("--out", help="ignored: this subcommand writes no files")
+            continue
+        sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--pairs", type=int, default=None, help="override loop count")
-        sp.add_argument("--tol", type=float, default=None, help="override tolerance")
-    args = parser.parse_args(argv)
+        sp.add_argument("--pairs", type=int, help="override loop count")
+        if tol is not None:
+            sp.add_argument("--tol", type=float,
+                            help=f"override the config's tol (default {tol:g})")
+    return parser
 
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=os.environ.get("BYKOV_LOG", "WARNING").upper())
-
+    run, reads_config, default_tol = _SUBCOMMANDS[args.subcommand]
     try:
-        cfg = None
-        if args.config is not None:
-            cfg = parse_config(Path(args.config).read_bytes())
-        return run_experiment(
-            cfg, args.subcommand, out_dir=args.out, pairs=args.pairs, tol=args.tol
+        if not reads_config:
+            return run()
+        cfg = parse_config(Path(args.config).read_bytes())
+        n = cfg.n_pairs if args.pairs is None else args.pairs
+        if n < 1:
+            raise ConstraintViolation(f"pair count must be at least 1, got {n}")
+        tol = getattr(args, "tol", None)
+        tol = cfg.tol if tol is None else _check_tol(tol)
+        seed = SectionPoint(
+            chart="Out2", theta_lifted=cfg.theta0, log_coord=float(np.log(cfg.z0))
         )
-    except BykovError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+        return run(cfg, seed, Path(args.out), n, default_tol if tol is None else tol)
+    except (BykovError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -86,9 +88,22 @@ def test_parse_config_perturbation_requires_all_fields():
 
 
 def test_parse_config_warns_on_unknown_keys(caplog):
+    doc = dict(
+        BASE_CONFIG,
+        banana=1,
+        params=dict(BASE_CONFIG["params"], perturbaton={"c1": 0.1}),
+        seed={"theta0": 1.0, "z0": 0.1, "z00": 0.2},
+        observable={"kind": "piecewise_constant", "g_sigma1": 0.0, "g_sigma2": 1.0,
+                    "g_boundry": 0.5},
+    )
     with caplog.at_level("WARNING", logger="bykov"):
-        parse_config(_dump(dict(BASE_CONFIG, banana=1)))
+        cfg = parse_config(_dump(doc))
     assert any("banana" in r.message for r in caplog.records)
+    # a misspelt key below the top level is ignored too, and named by its path
+    assert cfg.params.perturbation is None
+    messages = [r.message for r in caplog.records]
+    for path in ("$.params.perturbaton", "$.seed.z00", "$.observable.g_boundry"):
+        assert f"ignoring unknown config key {path!r}" in messages
 
 
 def test_emit_csv_roundtrip_and_quoting(tmp_path):
@@ -248,3 +263,51 @@ def test_oversized_integer_is_a_parse_error(tmp_path, capsys):
     cfg.write_text(text)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "$.params.a" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in (["simulate"], ["verify-all", "--pairs", "0"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "usage: bykov" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--tol", "5"], ["diagnostics", "--tol", "5"], ["adjusted", "--tol", "5"],
+     ["verify-all", "--config", "c.json"], ["verify-all", "--pairs", "0"],
+     ["verify-all", "--tol", "-1"]],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(_dump(BASE_CONFIG))
+    if argv[0] != "verify-all":
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in capsys.readouterr().err
+
+
+def test_verify_all_writes_no_files(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["verify-all", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "9/9 checks passed"
+    assert not out.exists()
+
+
+def test_output_files_get_the_umask_mode(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(_dump(BASE_CONFIG))
+    out = tmp_path / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((out / "hitting.csv").stat().st_mode) == 0o644

@@ -17,7 +17,10 @@ in the second; orbit integrals are then exact sojourn sums, carried in
 extended precision (stronger than the compensated double accumulation
 the tolerances were budgeted for).  The smooth kind interpolates from
 the equilibrium value to a common boundary value with profile
-``max(rho, |z|)**m``, and is integrated numerically leg by leg.
+``max(rho, |z|)**m``.  It is integrated numerically, by composite
+Gauss-Legendre on the composed function ``G(flow(t))`` (never on the
+closed-form leg integrals the tests check it against), with one array
+pass per orbit: every node of every leg in a cylinder at once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import ConstraintViolation, InsufficientData
-from .flow import FlowState, SectionPoint, flow_at, psi21, section_state
+from .flow import FlowState, SectionPoint, _sojourn_logs
 from .hitting import generate_hitting_sequence
 from .params import DerivedConstants, SystemParams, derive_constants
 
@@ -48,12 +51,13 @@ __all__ = [
 class Observable:
     """A continuous scalar function of phase-space position.
 
-    ``g_sigma1`` and ``g_sigma2`` are the values at the two equilibria.
-    For the smooth kind, ``m > 0`` is the interpolation exponent and
-    ``g_boundary`` the shared value on the cylinder boundaries (default:
-    midpoint of the equilibrium values).  ``g_boundary`` must lie in the
-    closed interval spanned by the equilibrium values so that every time
-    average provably stays inside that interval too.
+    ``g_sigma1`` and ``g_sigma2`` are the (finite) values at the two
+    equilibria.  For the smooth kind, a finite ``m > 0`` is the
+    interpolation exponent and ``g_boundary`` the shared value on the
+    cylinder boundaries (default: midpoint of the equilibrium values).
+    ``g_boundary`` must lie in the closed interval spanned by the
+    equilibrium values so that every time average provably stays inside
+    that interval too.
     """
 
     kind: str
@@ -67,10 +71,15 @@ class Observable:
             raise ConstraintViolation(
                 f"observable kind must be 'piecewise_constant' or 'smooth', got {self.kind!r}"
             )
-        if self.kind == "smooth":
-            if self.m is None or not (self.m > 0):
+        for name in ("g_sigma1", "g_sigma2"):
+            if not np.isfinite(getattr(self, name)):
                 raise ConstraintViolation(
-                    f"smooth observables need an exponent m > 0, got {self.m}"
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
+        if self.kind == "smooth":
+            if self.m is None or not (0 < self.m < np.inf):
+                raise ConstraintViolation(
+                    f"smooth observables need a finite exponent m > 0, got {self.m}"
                 )
             lo = min(self.g_sigma1, self.g_sigma2)
             hi = max(self.g_sigma1, self.g_sigma2)
@@ -111,13 +120,21 @@ class Certificate(NamedTuple):
     gap: float
 
 
+def _profile_value(G: Observable, g_sigma, rho_log, z_log):
+    """The smooth observable ``g_sigma + (g_boundary - g_sigma) * max(rho, z)**m``.
+
+    Takes log-coordinates, as scalars or arrays, and evaluates in float64.
+    """
+    profile = np.exp(float(G.m) * np.maximum(rho_log, z_log).astype(float))
+    return float(g_sigma) + (G.boundary_value - float(g_sigma)) * profile
+
+
 def observable_value(G: Observable, state: FlowState) -> float:
     """Evaluate the observable at an interior point of either cylinder."""
     g_sigma = G.g_sigma1 if state.cylinder == "V1" else G.g_sigma2
     if G.kind == "piecewise_constant":
         return float(g_sigma)
-    profile = np.exp(float(G.m) * float(max(state.rho_log, state.z_log)))
-    return float(g_sigma) + (G.boundary_value - float(g_sigma)) * profile
+    return float(_profile_value(G, g_sigma, state.rho_log, state.z_log))
 
 
 def predicted_limits(
@@ -140,58 +157,70 @@ _CLIP = 60.0
 _SEG_SPAN = 10.0
 
 
-def _quad_composite(f, lo: float, hi: float, n_seg: int) -> float:
-    total = 0.0
-    edges = np.linspace(lo, hi, n_seg + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        total += half * sum(
-            w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-        )
-    return total
+def _segments(lo: np.ndarray, hi: np.ndarray, n_seg: np.ndarray):
+    """The segments of ``np.linspace(lo[i], hi[i], n_seg[i] + 1)`` for all ``i``, flat.
+
+    Returns each segment's piece ``i``, midpoint and half-width.  The
+    edges are rounded as ``linspace`` rounds them: ``k*step + lo`` with
+    ``step = (hi - lo) / n_seg``, and exactly ``hi`` for the last one.
+    """
+    piece = np.repeat(np.arange(lo.size), n_seg)
+    k = np.arange(piece.size) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+    step = ((hi - lo) / n_seg)[piece]
+    lo, hi = lo[piece], hi[piece]
+    a = k * step + lo
+    b = np.where(k + 1 < n_seg[piece], (k + 1) * step + lo, hi)
+    return piece, 0.5 * (a + b), 0.5 * (b - a)
 
 
-def _smooth_leg_integral(
-    G: Observable, entry: FlowState, leg_len: float, p: SystemParams
-) -> float:
-    """Integrate the smooth observable along one sojourn leg.
+def _smooth_leg_integrals(
+    G: Observable, cylinder: str, log_in: np.ndarray, leg_len: np.ndarray, p: SystemParams
+) -> np.ndarray:
+    """Integrate the smooth observable along the sojourn legs of one cylinder.
 
-    The interpolation profile decays like ``exp(-m*contraction*t)`` away
+    ``log_in`` holds the log of each leg's entry coordinate (height on
+    ``In1``, radius on ``In2``) and ``leg_len`` its length.  The
+    interpolation profile decays like ``exp(-m*contraction*t)`` away
     from the entry wall and climbs back as ``exp(-m*expansion*(T-t))``
     toward the exit wall, with a kink where the two log-coordinates
     cross.  Each monotone piece is clipped to its contributing window and
     integrated by composite Gauss-Legendre on the *actual* composed
-    function ``G(flow_at(t))`` — no closed forms are consumed here, so
-    tests can check this route against them independently.
+    function ``G(flow(t))``, the linear flow evaluated by the kernel of
+    :func:`~bykov.flow.flow_at` at every node of every leg in one array
+    pass.  No closed forms are consumed here, so tests can check this
+    route against them independently.  Each segment's 32-node weighted
+    sum is taken left to right (``cumsum``, not a pairwise ``sum``) and
+    ``bincount`` adds each piece's segments in order, so every leg
+    integral equals a node-by-node loop over scalar ``flow_at`` calls bit
+    for bit; ``tests/test_birkhoff.py`` keeps that loop as the reference.
     """
     m = float(G.m)
-    if entry.cylinder == "V1":
-        contr, expand = float(p.C1), float(p.E1)
-        depth = float(-entry.z_log)
+    if cylinder == "V1":
+        contract, expand, g_sigma = p.C1, p.E1, G.g_sigma1
     else:
-        contr, expand = float(p.C2), float(p.E2)
-        depth = float(-entry.rho_log)
-    t_kink = depth / (contr + expand)
+        contract, expand, g_sigma = p.C2, p.E2, G.g_sigma2
+    contr, expd = float(contract), float(expand)
+    t_kink = (-log_in).astype(float) / (contr + expd)
 
-    def f(t: float) -> float:
-        return observable_value(G, flow_at(t, entry, p))
+    # decaying pieces [0, w1], profile exp(-m*contr*t); rising pieces
+    # [leg_len - w2, leg_len], profile exp(-m*expand*(leg_len-t))
+    w1 = np.minimum(t_kink, _CLIP / (m * contr))
+    w2 = np.minimum(leg_len - t_kink, _CLIP / (m * expd))
+    lo = np.concatenate([np.zeros_like(w1), leg_len - w2])
+    hi = np.concatenate([w1, leg_len])
+    e_folds = np.concatenate([m * contr * w1, m * expd * w2])
+    n_seg = np.maximum(1, np.ceil(e_folds / _SEG_SPAN).astype(int))
+    piece, mid, half = _segments(lo, hi, n_seg)
 
-    g_sigma = G.g_sigma1 if entry.cylinder == "V1" else G.g_sigma2
-    total = g_sigma * leg_len
-
-    # decaying piece: [0, t_kink], profile exp(-m*contr*t)
-    width = min(t_kink, _CLIP / (m * contr))
-    n_seg = max(1, int(np.ceil(m * contr * width / _SEG_SPAN)))
-    total += _quad_composite(lambda t: f(t) - g_sigma, 0.0, width, n_seg)
-
-    # rising piece: [t_kink, leg_len], profile exp(-m*expand*(leg_len-t))
-    width = min(leg_len - t_kink, _CLIP / (m * expand))
-    n_seg = max(1, int(np.ceil(m * expand * width / _SEG_SPAN)))
-    total += _quad_composite(
-        lambda t: f(t) - g_sigma, leg_len - width, leg_len, n_seg
-    )
-    return total
+    entry = log_in[piece % leg_len.size, None]
+    zero = LD(0.0)
+    rho0, z0 = (zero, entry) if cylinder == "V1" else (entry, zero)
+    t = mid[:, None] + half[:, None] * _GL_NODES
+    _, rho, z = _sojourn_logs(t, cylinder, rho0, z0, asld(expand), asld(contract))
+    f = _profile_value(G, g_sigma, rho, z) - g_sigma
+    sums = np.cumsum(f * _GL_WEIGHTS, axis=1)[:, -1]
+    pieces = np.bincount(piece, weights=half * sums, minlength=lo.size)
+    return g_sigma * leg_len + pieces[: leg_len.size] + pieces[leg_len.size :]
 
 
 def birkhoff_average(
@@ -202,7 +231,8 @@ def birkhoff_average(
     The orbit starts at the ``Out2`` seed ``q0`` at time zero.  For the
     piecewise-constant kind the running integral is an exact interleaved
     sojourn sum; for the smooth kind each leg is integrated to a relative
-    accuracy far beyond 1e-8 and accumulated the same way.
+    accuracy far beyond 1e-8, all legs of a cylinder in one array pass,
+    and accumulated the same way.
     """
     if upto_index < 1:
         raise InsufficientData(f"upto_index must be at least 1, got {upto_index}")
@@ -215,14 +245,16 @@ def birkhoff_average(
         increments[0::2] = asld(G.g_sigma1) * h.sojourns_V1[: (upto_index + 1) // 2]
         increments[1::2] = asld(G.g_sigma2) * h.sojourns_V2[: upto_index // 2]
     else:
-        for j in range(upto_index):
-            if j % 2 == 0:  # V1 leg: crossing j is on Out2 and is reinjected
-                q = psi21(SectionPoint("Out2", h.theta[j], h.log_coord[j]), p)
-                leg = h.sojourns_V1[j // 2]
-            else:  # V2 leg: crossing j is on Out1, glued to In2
-                q = SectionPoint("In2", h.theta[j], h.log_coord[j])
-                leg = h.sojourns_V2[j // 2]
-            increments[j] = asld(_smooth_leg_integral(G, section_state(q), float(leg), p))
+        # V1 legs enter from the Out2 crossings 0, 2, ..., reinjected by
+        # psi21; V2 legs from the Out1 crossings 1, 3, ..., glued to In2
+        increments[0::2] = _smooth_leg_integrals(
+            G, "V1", np.log(asld(p.a)) + h.log_coord[0:upto_index:2],
+            h.sojourns_V1[: (upto_index + 1) // 2].astype(float), p,
+        )
+        increments[1::2] = _smooth_leg_integrals(
+            G, "V2", h.log_coord[1:upto_index:2],
+            h.sojourns_V2[: upto_index // 2].astype(float), p,
+        )
     # averages[k-1] is the average over [0, times[k]]
     averages = np.cumsum(increments) / h.times[1 : upto_index + 1]
 

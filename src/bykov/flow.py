@@ -107,18 +107,25 @@ class FlowState:
         object.__setattr__(self, "rho_log", asld(self.rho_log))
         object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
         object.__setattr__(self, "z_log", asld(self.z_log))
-        for name in ("rho_log", "theta_lifted", "z_log"):
-            if not np.isfinite(getattr(self, name)):
-                raise DegenerateInput(f"{name} is not finite")
-        if self.rho_log > 0.0 or self.z_log > 0.0:
-            raise DegenerateInput(
-                "state lies outside the unit cylinder: "
-                f"rho_log={self.rho_log}, z_log={self.z_log}"
-            )
+        _check_state(self.rho_log, self.z_log, self.theta_lifted)
 
     @property
     def theta(self) -> np.longdouble:
         return np.mod(self.theta_lifted, TWO_PI)
+
+
+def _check_state(rho_log, z_log, theta_lifted=LD(0.0)) -> None:
+    """The flow-state checks, on raw values or arrays (see :class:`FlowState`)."""
+    inside = (-np.inf < rho_log) & (rho_log <= 0.0) & (-np.inf < z_log) & (z_log <= 0.0)
+    if (inside & np.isfinite(theta_lifted)).all():
+        return
+    for name, v in (("rho_log", rho_log), ("theta_lifted", theta_lifted), ("z_log", z_log)):
+        if not np.isfinite(v).all():
+            raise DegenerateInput(f"{name} is not finite")
+    raise DegenerateInput(
+        "state lies outside the unit cylinder: "
+        f"rho_log={np.max(rho_log)}, z_log={np.max(z_log)}"
+    )
 
 
 def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:
@@ -265,8 +272,11 @@ def section_state(q: SectionPoint) -> FlowState:
     return FlowState("V2", rho_log=q.log_coord, theta_lifted=q.theta_lifted, z_log=LD(0.0))
 
 
-def _snap_boundary(log_val: np.longdouble, scale: np.longdouble) -> np.longdouble:
-    """Collapse an ulp-sized positive overshoot of a log-coordinate to 0.
+_SNAP_ULPS = LD(64.0) * np.finfo(LD).eps
+
+
+def _snap_boundary(log_val: np.ndarray, scale) -> np.ndarray:
+    """Collapse ulp-sized positive overshoots of a log-coordinate to 0, in place.
 
     At ``t = t_exit`` the expanding coordinate reaches the unit boundary
     by definition; the rounded multiply-add may land a few ulps above it
@@ -274,10 +284,44 @@ def _snap_boundary(log_val: np.longdouble, scale: np.longdouble) -> np.longdoubl
     which would wrongly fail state validation.  Genuine excursions are
     never this small because ``t`` is range-checked first.
     """
-    tol = LD(64.0) * np.finfo(LD).eps * max(LD(1.0), abs(scale))
-    if 0.0 < log_val < tol:
-        return LD(0.0)
+    tol = _SNAP_ULPS * np.maximum(LD(1.0), abs(scale))
+    log_val[(0.0 < log_val) & (log_val < tol)] = 0.0
     return log_val
+
+
+def _sojourn_logs(t, cylinder: str, rho_log, z_log, expand, contract):
+    """The linear flow's ``(t, rho_log, z_log)`` at times ``t`` into a sojourn.
+
+    Array kernel of :func:`flow_at`: ``t`` (any shape, at least 1-d on
+    return) is broadcast against the entry log-coordinates ``rho_log`` and
+    ``z_log`` of the state, whose cylinder expands at ``expand`` and
+    contracts at ``contract``.  A time past the exit time ``t_exit`` by at
+    most one float64 ulp of ``t_exit`` is that exit time: a float64 time
+    rounded from a long-double sojourn may land there.  Any other time
+    outside ``[0, t_exit]`` raises :class:`~bykov.errors.OutOfSojourn`,
+    and the states reached are checked as :class:`FlowState` checks them.
+    """
+    t = np.array(t, dtype=LD, ndmin=1)
+    t_exit = -(z_log if cylinder == "V1" else rho_log) / expand
+    if not ((0.0 <= t) & (t <= t_exit)).all():
+        t_exit = np.broadcast_to(t_exit, t.shape)
+        over = (t > t_exit) & (t - t_exit <= np.spacing(t_exit.astype(float)))
+        np.copyto(t, t_exit, where=over)
+        outside = ~((0.0 <= t) & (t <= t_exit))
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise OutOfSojourn(
+                f"t={float(t.flat[i])} outside the sojourn window [0, {float(t_exit.flat[i])}] "
+                f"of cylinder {cylinder}"
+            )
+    if cylinder == "V1":
+        rho = rho_log - contract * t
+        z = _snap_boundary(z_log + expand * t, z_log)
+    else:
+        rho = _snap_boundary(rho_log + expand * t, rho_log)
+        z = z_log - contract * t
+    _check_state(rho, z)
+    return t, rho, z
 
 
 def flow_at(t, s: FlowState, p: SystemParams) -> FlowState:
@@ -285,31 +329,20 @@ def flow_at(t, s: FlowState, p: SystemParams) -> FlowState:
 
     ``t`` may be any value in ``[0, t_exit]`` where ``t_exit`` is the
     remaining time until the state's cylinder is exited (``-z_log / E1``
-    in ``V1``, ``-rho_log / E2`` in ``V2``); anything outside raises
-    :class:`~bykov.errors.OutOfSojourn` because the linear field simply
-    does not govern the orbit beyond its own cylinder.
+    in ``V1``, ``-rho_log / E2`` in ``V2``), or a float64 time at most
+    one ulp above ``t_exit``, which is taken as ``t_exit``; anything else
+    raises :class:`~bykov.errors.OutOfSojourn` because the linear field
+    simply does not govern the orbit beyond its own cylinder.
     """
-    t = asld(t)
     validate_params(p)
     if s.cylinder == "V1":
-        t_exit = -s.z_log / asld(p.E1)
+        expand, contract, omega = p.E1, p.C1, p.omega1
     else:
-        t_exit = -s.rho_log / asld(p.E2)
-    if not (0.0 <= t <= t_exit):
-        raise OutOfSojourn(
-            f"t={float(t)} outside the sojourn window [0, {float(t_exit)}] "
-            f"of cylinder {s.cylinder}"
-        )
-    if s.cylinder == "V1":
-        return FlowState(
-            cylinder="V1",
-            rho_log=s.rho_log - asld(p.C1) * t,
-            theta_lifted=s.theta_lifted + asld(p.omega1) * t,
-            z_log=_snap_boundary(s.z_log + asld(p.E1) * t, s.z_log),
-        )
+        expand, contract, omega = p.E2, p.C2, p.omega2
+    t, rho, z = _sojourn_logs(t, s.cylinder, s.rho_log, s.z_log, asld(expand), asld(contract))
     return FlowState(
-        cylinder="V2",
-        rho_log=_snap_boundary(s.rho_log + asld(p.E2) * t, s.rho_log),
-        theta_lifted=s.theta_lifted + asld(p.omega2) * t,
-        z_log=s.z_log - asld(p.C2) * t,
+        cylinder=s.cylinder,
+        rho_log=rho[0],
+        theta_lifted=s.theta_lifted + asld(omega) * t[0],
+        z_log=z[0],
     )

@@ -10,15 +10,22 @@ from bykov import (
     FlowState,
     InsufficientData,
     Observable,
+    PerturbationSpec,
     SectionPoint,
     SystemParams,
     birkhoff_average,
     derive_constants,
+    flow_at,
     generate_hitting_sequence,
     historic_certificate,
     observable_value,
     predicted_limits,
+    psi21,
+    section_state,
 )
+import bykov.flow
+import bykov.params
+from bykov.birkhoff import _CLIP, _SEG_SPAN
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -42,6 +49,13 @@ def test_observable_validation():
         Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0)
     with pytest.raises(ConstraintViolation, match="g_boundary"):
         Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0, g_boundary=3.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConstraintViolation, match="exponent"):
+            Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=bad)
+        with pytest.raises(ConstraintViolation, match="g_sigma1"):
+            Observable(kind="piecewise_constant", g_sigma1=bad, g_sigma2=1.0)
+        with pytest.raises(ConstraintViolation, match="g_sigma2"):
+            Observable(kind="smooth", g_sigma1=0.0, g_sigma2=-bad, m=2.0)
     assert Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0).boundary_value == 0.5
 
 
@@ -148,6 +162,118 @@ def test_smooth_averages_match_exponential_integrals():
     np.testing.assert_allclose(
         float(s.even_averages[0]), (int1 + int2) / (L1 + L2), rtol=1e-13
     )
+
+
+def test_smooth_long_orbit_matches_exponential_integrals():
+    """64 legs: sojourns long enough that float64 node times round onto the exit."""
+    G = Observable(kind="smooth", g_sigma1=1.0, g_sigma2=4.0, m=2.0, g_boundary=2.5)
+    n = 64
+    s = birkhoff_average(SEED, P, G, upto_index=n)
+    h = generate_hitting_sequence(SEED, P, n // 2)
+    depth1 = np.asarray(-(np.log(LD(P.a)) + h.log_coord[0:n:2]), float)
+    depth2 = np.asarray(-h.log_coord[1:n:2], float)
+    integrals = np.empty(n)
+    integrals[0::2] = _leg_integral_closed_form(
+        1.0, 2.5, 2.0, P.C1, P.E1, depth1, np.asarray(h.sojourns_V1[: n // 2], float)
+    )
+    integrals[1::2] = _leg_integral_closed_form(
+        4.0, 2.5, 2.0, P.C2, P.E2, depth2, np.asarray(h.sojourns_V2[: n // 2], float)
+    )
+    exact = np.cumsum(integrals) / np.asarray(h.times[1 : n + 1], float)
+    np.testing.assert_allclose(np.asarray(s.odd_averages, float), exact[0::2], rtol=1e-13)
+    np.testing.assert_allclose(np.asarray(s.even_averages, float), exact[1::2], rtol=1e-13)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+
+
+def _longhand_leg_integral(G, entry, leg_len, p):
+    """One smooth leg integral, node by node with scalar ``flow_at`` calls.
+
+    Composite Gauss-Legendre over ``observable_value(G, flow_at(t))`` on
+    the clipped decaying and rising pieces, each weighted sum taken left
+    to right and each piece summed segment by segment.
+    """
+    m = float(G.m)
+    if entry.cylinder == "V1":
+        contr, expand, depth, g = float(p.C1), float(p.E1), float(-entry.z_log), G.g_sigma1
+    else:
+        contr, expand, depth, g = float(p.C2), float(p.E2), float(-entry.rho_log), G.g_sigma2
+    t_kink = depth / (contr + expand)
+    w1 = min(t_kink, _CLIP / (m * contr))
+    w2 = min(leg_len - t_kink, _CLIP / (m * expand))
+    total = g * leg_len
+    for lo, hi, rate, width in ((0.0, w1, contr, w1), (leg_len - w2, leg_len, expand, w2)):
+        n_seg = max(1, int(np.ceil(m * rate * width / _SEG_SPAN)))
+        edges = np.linspace(lo, hi, n_seg + 1)
+        piece = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            piece += half * sum(
+                w * (observable_value(G, flow_at(mid + half * x, entry, p)) - g)
+                for x, w in zip(_GL_X, _GL_W)
+            )
+        total += piece
+    return total
+
+
+def _random_smooth_orbit(rng, perturbed):
+    E1, E2 = rng.uniform(0.5, 2.0, size=2)
+    pert = None
+    if perturbed:
+        c1, c2 = rng.uniform(0.0, 0.1, size=2)
+        pert = PerturbationSpec(c1=c1, c2=c2, eps=rng.uniform(0.3, 0.8))
+    p = SystemParams(
+        C1=E1 * rng.uniform(1.2, 3.0), E1=E1, omega1=rng.uniform(0.5, 3.0),
+        C2=E2 * rng.uniform(1.2, 3.0), E2=E2, omega2=rng.uniform(0.5, 3.0),
+        a=rng.uniform(0.1, 0.9), perturbation=pert,
+    )
+    q0 = SectionPoint("Out2", rng.uniform(0.0, 2 * np.pi), np.log(rng.uniform(0.01, 0.5)))
+    g1, g2 = rng.uniform(-1.0, 1.0, size=2)
+    G = Observable("smooth", g1, g2, m=rng.uniform(0.5, 4.0),
+                   g_boundary=g1 + rng.uniform(0.0, 1.0) * (g2 - g1))
+    return q0, p, G
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["idealized", "perturbed"])
+def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
+    rng = np.random.default_rng(21 + perturbed)
+    n = 24
+    for _ in range(10):
+        q0, p, G = _random_smooth_orbit(rng, perturbed)
+        h = generate_hitting_sequence(q0, p, n // 2)
+        increments = np.empty(n, dtype=LD)
+        for j in range(n):
+            if j % 2 == 0:  # V1 leg, entered through the reinjection
+                entry = section_state(psi21(SectionPoint("Out2", h.theta[j], h.log_coord[j]), p))
+                leg = h.sojourns_V1[j // 2]
+            else:  # V2 leg, entered through the glued lid
+                entry = section_state(SectionPoint("In2", h.theta[j], h.log_coord[j]))
+                leg = h.sojourns_V2[j // 2]
+            increments[j] = _longhand_leg_integral(G, entry, float(leg), p)
+        reference = np.cumsum(increments) / h.times[1 : n + 1]
+        s = birkhoff_average(q0, p, G, upto_index=n)
+        assert np.array_equal(s.odd_averages, reference[0::2])
+        assert np.array_equal(s.even_averages, reference[1::2])
+
+
+def test_smooth_average_validates_params_a_fixed_number_of_times(monkeypatch):
+    validate = bykov.params.validate_params
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return validate(p)
+
+    for module in (bykov.params, bykov.flow):
+        monkeypatch.setattr(module, "validate_params", counting)
+    G = Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0)
+    counts = []
+    for upto in (8, 24):
+        calls.clear()
+        birkhoff_average(SEED, P, G, upto_index=upto)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_smooth_certificate_still_historic():

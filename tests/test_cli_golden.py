@@ -1,10 +1,12 @@
-"""Byte-for-byte CLI output on the README config and two variants of it.
+"""Byte-for-byte CLI output on the README config and three variants of it.
 
 Every subcommand that writes a file is run on the README config, a
-perturbed copy of it and a smooth-observable copy, and each output
-file's sha256 is compared against a recorded digest.  The README digests
-are the ones the benchmark checks (``benchmarks/cli_digests.json``); the
-other two were recorded from the same code.  All of them hold for the
+perturbed copy of it, a smooth-observable copy and a perturbed
+smooth-observable copy, and each output file's sha256 is compared
+against a recorded digest.  The README digests are the ones the
+benchmark checks (``benchmarks/cli_digests.json``); the other three were
+recorded from the same code, the smooth ones while it still integrated
+node by node with scalar ``flow_at`` calls.  All of them hold for the
 80-bit x86-64 ``longdouble`` only.
 """
 
@@ -33,6 +35,7 @@ PERTURBED_CONFIG["params"]["perturbation"] = {"c1": 0.1, "c2": 0.1, "eps": 0.5}
 SMOOTH_CONFIG = dict(
     README_CONFIG, observable={"kind": "smooth", "g_sigma1": 0.0, "g_sigma2": 1.0, "m": 2}
 )
+PERTURBED_SMOOTH_CONFIG = dict(PERTURBED_CONFIG, observable=SMOOTH_CONFIG["observable"])
 
 OUTPUT_OF = {
     "simulate": "hitting.csv",
@@ -57,6 +60,10 @@ SMOOTH_DIGESTS = dict(
     README_DIGESTS,
     **{"birkhoff.csv": "04e53ff6cfbb41b01e9e2efa3479359411820658c6981596a93073b89b61d691"},
 )
+PERTURBED_SMOOTH_DIGESTS = dict(
+    PERTURBED_DIGESTS,
+    **{"birkhoff.csv": "a6d9c3419edc84134fbc9258f872ac90be565e934e0f6ff5e67986d842927e5c"},
+)
 
 @pytest.mark.parametrize(
     "config, digests",
@@ -64,8 +71,9 @@ SMOOTH_DIGESTS = dict(
         (README_CONFIG, README_DIGESTS),
         (PERTURBED_CONFIG, PERTURBED_DIGESTS),
         (SMOOTH_CONFIG, SMOOTH_DIGESTS),
+        (PERTURBED_SMOOTH_CONFIG, PERTURBED_SMOOTH_DIGESTS),
     ],
-    ids=["readme", "perturbed", "smooth"],
+    ids=["readme", "perturbed", "smooth", "perturbed_smooth"],
 )
 def test_cli_bytes_match_recorded_digests(tmp_path, config, digests):
     cfg = tmp_path / "cfg.json"

@@ -166,6 +166,21 @@ def test_section_state_and_flow_endpoints():
         flow_at(-0.1, s, P)
 
 
+def test_flow_at_takes_a_float64_exit_time_rounded_up():
+    # a long sojourn: its float64 exit time may lie above the long-double one
+    s = section_state(SectionPoint(chart="In1", theta_lifted=1.0, log_coord=LD("-18922045849271.07")))
+    t_exit = -s.z_log / LD(P.E1)
+    t_up = float(t_exit)
+    if LD(t_up) <= t_exit:
+        t_up = np.nextafter(t_up, np.inf)
+    assert LD(t_up) > t_exit
+    end = flow_at(t_up, s, P)
+    assert float(end.z_log) == 0.0
+    assert end.theta_lifted == flow_at(t_exit, s, P).theta_lifted
+    with pytest.raises(OutOfSojourn):
+        flow_at(np.nextafter(np.nextafter(t_up, np.inf), np.inf), s, P)
+
+
 def test_flow_interior_is_linear_in_log():
     rng = np.random.default_rng(8)
     for _ in range(20):

@@ -200,15 +200,18 @@ def _smooth_leg_integrals(
     else:
         contract, expand, g_sigma = p.C2, p.E2, G.g_sigma2
     contr, expd = float(contract), float(expand)
+    fold1, fold2 = m * contr, m * expd  # e-foldings of the profile per unit time
+    if not (0.0 < fold1 < np.inf and 0.0 < fold2 < np.inf):
+        raise ConstraintViolation(f"m={m} leaves the float range in the e-folding rates")
     t_kink = (-log_in).astype(float) / (contr + expd)
 
     # decaying pieces [0, w1], profile exp(-m*contr*t); rising pieces
     # [leg_len - w2, leg_len], profile exp(-m*expand*(leg_len-t))
-    w1 = np.minimum(t_kink, _CLIP / (m * contr))
-    w2 = np.minimum(leg_len - t_kink, _CLIP / (m * expd))
+    w1 = np.minimum(t_kink, _CLIP / fold1)
+    w2 = np.minimum(leg_len - t_kink, _CLIP / fold2)
     lo = np.concatenate([np.zeros_like(w1), leg_len - w2])
     hi = np.concatenate([w1, leg_len])
-    e_folds = np.concatenate([m * contr * w1, m * expd * w2])
+    e_folds = np.concatenate([fold1 * w1, fold2 * w2])
     n_seg = np.maximum(1, np.ceil(e_folds / _SEG_SPAN).astype(int))
     piece, mid, half = _segments(lo, hi, n_seg)
 

@@ -32,6 +32,7 @@ angle is a quotient that downstream diagnostics cannot un-wrap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,13 @@ def _check_state(rho_log, z_log, theta_lifted=LD(0.0)) -> None:
 
 
 def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:
-    """The section-point checks, on raw values (see :class:`SectionPoint`)."""
-    if not np.isfinite(theta_lifted):
+    """The section-point checks, on raw values (see :class:`SectionPoint`).
+
+    Comparisons, not ``np.isfinite``, which costs far more on a long-double scalar.
+    """
+    if not (-np.inf < theta_lifted < np.inf):
         raise DegenerateInput(f"theta_lifted is not finite: {theta_lifted}")
-    if not np.isfinite(log_coord) or not (log_coord < 0.0):
+    if not (-np.inf < log_coord < 0.0):
         raise DegenerateInput(
             "log_coord must be finite and strictly negative "
             f"(point off the connection), got {log_coord}"
@@ -144,19 +148,27 @@ def _require_chart(q: SectionPoint, chart: str, op: str) -> None:
         raise DegenerateInput(f"{op} expects a point on {chart}, got {q.chart}")
 
 
-def _leg_constants(p: SystemParams) -> tuple[tuple, tuple]:
-    """Kernel constants ``(expand, saddle, twist, c, eps)`` of the V1 and the V2 leg.
+@functools.lru_cache(maxsize=128)
+def _rates(p: SystemParams) -> tuple:
+    """The long-double ``(E1, omega1, c1), (E2, omega2, c2), eps, a, ln a`` of a valid ``p``."""
+    pert = p.perturbation or PerturbationSpec()
+    a = asld(p.a)
+    return (
+        (asld(p.E1), asld(p.omega1), asld(pert.c1)),
+        (asld(p.E2), asld(p.omega2), asld(pert.c2)),
+        asld(pert.eps), a, np.log(a),
+    )
 
-    Derived once per orbit, validating ``p``; a missing perturbation is
-    the zero one.
+
+def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble]:
+    """Kernel constants ``(expand, saddle, twist, c, eps)`` of the V1 and V2 legs, ``a``, ``ln a``.
+
+    Derived once per parameter set: ``derive_constants`` (which validates
+    ``p``) and :func:`_rates` are memoized.  No perturbation is the zero one.
     """
     d = derive_constants(p)
-    pert = p.perturbation or PerturbationSpec()
-    eps = asld(pert.eps)
-    return (
-        (asld(p.E1), d.delta1, asld(p.omega1), asld(pert.c1), eps),
-        (asld(p.E2), d.delta2, asld(p.omega2), asld(pert.c2), eps),
-    )
+    (E1, w1, c1), (E2, w2, c2), eps, a, log_a = _rates(p)
+    return (E1, d.delta1, w1, c1, eps), (E2, d.delta2, w2, c2, eps), a, log_a
 
 
 def _half_transition(
@@ -174,12 +186,21 @@ def _half_transition(
     coordinate has log ``log_in``, expansion rate ``expand``, saddle index
     ``saddle`` (ratio of contraction to expansion), and winding speed
     ``twist`` (angle advanced per unit time).
+
+    The corrections are skipped once ``c*exp(saddle*eps*log_in)`` has
+    underflowed to 0, a few loops in.  That keeps the bits: ``log1p`` of
+    the radial ``±0`` is ``±0``, and the angle term, whose exponent is no
+    larger, is ``±0`` too (rounding is monotone); ``theta_out`` is never
+    ``-0``, so adding either leaves it as it is.
     """
     transit = -log_in / expand
     log_out = saddle * log_in
     theta_out = theta_in + twist * transit
     if c != 0.0:
-        radial = c * np.exp(saddle * eps * log_in) * np.cos(theta_in)
+        amplitude = c * np.exp(saddle * eps * log_in)
+        if amplitude == 0.0:
+            return transit, log_out, theta_out
+        radial = amplitude * np.cos(theta_in)
         if not (LD(1.0) + radial > 0.0):
             raise DegenerateInput(
                 "radius correction reaches the spiral axis; "
@@ -249,11 +270,12 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     exactly.
     """
     _require_chart(q, "In1", "poincare")
-    leg1, leg2 = _leg_constants(p)
+    leg1, leg2, a, log_a = _leg_constants(p)
     s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
     _check_crossing(theta1, log1)  # the Out1 crossing, glued to In2 unchanged
     u, log2, theta2 = _half_transition(log1, theta1, *leg2)
-    return psi21(SectionPoint("Out2", theta2, log2), p), s + u
+    _check_crossing(theta2, log2)  # the Out2 crossing, reinjected as psi21 does
+    return SectionPoint("In1", theta2 / a, log_a + log2), s + u
 
 
 def section_state(q: SectionPoint) -> FlowState:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD, asld
+from ._num import LD
 from .errors import DegenerateInput, InsufficientData
 from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants
 from .params import SystemParams
@@ -59,9 +59,7 @@ def generate_hitting_sequence(
         )
     if n_pairs < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
-    leg1, leg2 = _leg_constants(p)
-    a = asld(p.a)
-    log_a = np.log(a)
+    leg1, leg2, a, log_a = _leg_constants(p)
 
     n = 2 * n_pairs + 2
     theta = np.empty(n, dtype=LD)

@@ -22,6 +22,7 @@ Everything here is computed in extended precision (see ``bykov._num``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +153,12 @@ def validate_params(p: SystemParams) -> SystemParams:
     return p
 
 
+@functools.lru_cache(maxsize=128)
 def derive_constants(p: SystemParams) -> DerivedConstants:
-    """Compute the saddle indices and loop rates for a valid parameter set."""
+    """Compute the saddle indices and loop rates for a valid parameter set.
+
+    Memoized: equal sets share one result; an invalid set is never stored.
+    """
     validate_params(p)
     C1, E1 = asld(p.C1), asld(p.E1)
     C2, E2 = asld(p.C2), asld(p.E2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,15 @@ def test_averages_stay_in_value_hull():
         allv = np.concatenate([s.even_averages, s.odd_averages]).astype(float)
         assert allv.min() >= g1 - 1e-12
         assert allv.max() <= g2 + 1e-12
+
+
+def test_smooth_average_refuses_an_exponent_whose_rates_leave_the_float_range():
+    # m*rate overflows to inf (or, for a tiny m and a rate below 1,
+    # rounds to 0); the quadrature must refuse before forming NaN or
+    # infinite segment counts, and without a RuntimeWarning on the way
+    slow = SystemParams(C1=0.8, E1=0.5, omega1=1, C2=1.2, E2=0.6, omega2=2, a=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, p in ((1e308, P), (5e-324, slow)):
+            with pytest.raises(ConstraintViolation, match="e-folding rates"):
+                birkhoff_average(SEED, p, Observable("smooth", 0.0, 1.0, m=m), 8)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bykov import (
     SectionPoint,
     SystemParams,
     flow_at,
+    generate_hitting_sequence,
     phi1,
     phi2,
     poincare,
@@ -22,6 +25,10 @@ from bykov import (
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+PP = SystemParams(
+    C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
+    perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
+)
 
 
 def test_section_point_rejects_bad_input():
@@ -31,6 +38,18 @@ def test_section_point_rejects_bad_input():
         SectionPoint(chart="In1", theta_lifted=0.0, log_coord=0.5)
     with pytest.raises(DegenerateInput):
         SectionPoint(chart="In1", theta_lifted=np.nan, log_coord=-1.0)
+    # each with its message
+    for bad in (np.nan, np.inf, -np.inf):
+        message = f"theta_lifted is not finite: {LD(bad)}"
+        with pytest.raises(DegenerateInput, match=re.escape(message)):
+            SectionPoint(chart="In1", theta_lifted=bad, log_coord=-1.0)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5):
+        message = (
+            "log_coord must be finite and strictly negative "
+            f"(point off the connection), got {LD(bad)}"
+        )
+        with pytest.raises(DegenerateInput, match=re.escape(message)):
+            SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=bad)
 
 
 def test_theta_reduction():
@@ -135,6 +154,39 @@ def test_poincare_is_the_composition_of_its_legs():
         q, sojourn = poincare(q, pp)
         assert q == expected
         assert sojourn == s + u
+
+
+@pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
+def test_iterated_poincare_matches_the_generator_bitwise(params):
+    seed = SectionPoint(chart="Out2", theta_lifted=0.7, log_coord=float(np.log(0.05)))
+    h = generate_hitting_sequence(seed, params, 100)
+    a = LD(params.a)
+    q = psi21(seed, params)
+    for k in range(1, 101):
+        q, sojourn = poincare(q, params)
+        assert q.chart == "In1"
+        for got, want in (
+            (q.theta_lifted, h.theta[2 * k] / a),
+            (q.log_coord, np.log(a) + h.log_coord[2 * k]),
+            (sojourn, h.sojourns_V1[k - 1] + h.sojourns_V2[k - 1]),
+        ):
+            assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, got", [(10, 0, "0.1077"), (0, 200, "0.1821")], ids=["Out1", "Out2"]
+)
+def test_poincare_checks_each_exit_crossing(c1, c2, got):
+    # the kick throws the named exit crossing off the connection; from
+    # Out2 the reinjection would hide it (ln a + 0.18 < 0 on In1)
+    pp = SystemParams(
+        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
+        perturbation=PerturbationSpec(c1=c1, c2=c2, eps=0.5),
+    )
+    q = psi21(SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=float(np.log(0.9))), pp)
+    message = "log_coord must be finite and strictly negative (point off the connection), got "
+    with pytest.raises(DegenerateInput, match=re.escape(message + got)):
+        poincare(q, pp)
 
 
 def test_perturbation_cannot_push_through_axis():

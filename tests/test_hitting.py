@@ -174,3 +174,61 @@ def test_each_crossing_is_checked_as_it_is_produced():
     seed = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=float(np.log(0.9)))
     with pytest.raises(DegenerateInput, match="strictly negative"):
         generate_hitting_sequence(seed, pp, 3)
+
+
+def _longhand_perturbed_orbit(q0, p, n_pairs):
+    """The perturbed generator written out longhand, one crossing at a time.
+
+    It always evaluates the ``exp``/``cos``/``log1p``/``sin`` corrections,
+    also once their amplitude has underflowed to 0, and counts those
+    crossings.  Same IEEE operations in the same order as the model's
+    half-transition: transit ``-ln_in/E``, exit log ``saddle*ln_in +
+    log1p(c*exp(saddle*eps*ln_in)*cos(th_in))``, exit angle ``th_in +
+    omega*transit + c*exp(saddle*(1+eps)*ln_in)*sin(th_in)``.
+    """
+    q = p.perturbation
+    a, eps = LD(p.a), LD(q.eps)
+    log_a = np.log(a)
+    v1 = (LD(p.E1), LD(p.C1) / LD(p.E1), LD(p.omega1), LD(q.c1))
+    v2 = (LD(p.E2), LD(p.C2) / LD(p.E2), LD(p.omega2), LD(q.c2))
+    th, lc, t = q0.theta_lifted, q0.log_coord, LD(0.0)
+    times, theta, log_coord, underflowed = [t], [th], [lc], 0
+    for k in range(1, 2 * n_pairs + 2):
+        if k % 2:
+            (E, saddle, omega, c), ln_in, th_in = v1, log_a + lc, th / a
+        else:
+            (E, saddle, omega, c), ln_in, th_in = v2, lc, th
+        transit = -ln_in / E
+        amplitude = c * np.exp(saddle * eps * ln_in)
+        underflowed += amplitude == 0.0
+        lc = saddle * ln_in + np.log1p(amplitude * np.cos(th_in))
+        th = th_in + omega * transit + c * np.exp(saddle * (LD(1.0) + eps) * ln_in) * np.sin(th_in)
+        t = t + transit
+        times.append(t), theta.append(th), log_coord.append(lc)
+    return [np.array(x, dtype=LD) for x in (times, theta, log_coord)], underflowed
+
+
+def test_underflowed_corrections_are_skipped_bitwise():
+    # the generator stops evaluating a correction once its amplitude is 0;
+    # the longhand orbit never does, and every output keeps its bits
+    rng = np.random.default_rng(6)
+    for _ in range(24):
+        E1, E2 = rng.uniform(0.5, 2, 2)
+        d1, d2 = rng.uniform(1.2, 3, 2)
+        c1, c2, eps = rng.uniform(0.01, 0.1, 2).tolist() + [rng.uniform(0.1, 0.9)]
+        p = SystemParams(
+            C1=float(d1 * E1), E1=float(E1), omega1=float(rng.uniform(0.5, 3)),
+            C2=float(d2 * E2), E2=float(E2), omega2=float(rng.uniform(0.5, 3)),
+            a=float(rng.uniform(0.1, 0.9)),
+            perturbation=PerturbationSpec(c1=c1, c2=c2, eps=float(eps)),
+        )
+        theta0, z0 = rng.uniform(0, 2 * np.pi), rng.uniform(0.01, 0.5)
+        seed = SectionPoint("Out2", float(theta0), float(np.log(z0)))
+        h = generate_hitting_sequence(seed, p, 60)
+        expected, underflowed = _longhand_perturbed_orbit(seed, p, 60)
+        # both branches of the kernel are taken on every orbit
+        assert 0 < underflowed < 2 * 60 + 1
+        # not tobytes(): a 16-byte longdouble carries uninitialized padding
+        for got, want in zip((h.times, h.theta, h.log_coord), expected):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -10,12 +10,15 @@ import pytest
 from bykov import (
     ConstraintViolation,
     PerturbationSpec,
+    SectionPoint,
     SystemParams,
     derive_constants,
     invariant_tuple,
     matching_params,
+    poincare,
     validate_params,
 )
+import bykov.flow
 
 CANONICAL = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
 
@@ -178,3 +181,23 @@ def test_matching_params_drops_perturbation():
     )
     g = matching_params(p, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
     assert g.perturbation is None
+
+
+def test_derived_constants_are_memoized_per_parameter_set():
+    info = derive_constants.cache_info
+    assert info().maxsize is not None
+    assert bykov.flow._rates.cache_info().maxsize is not None
+    derive_constants.cache_clear()
+    twin = SystemParams(C1=2.0, E1=1.0, omega1=1.0, C2=3.0, E2=1.5, omega2=2.0, a=0.5)
+    assert derive_constants(twin) is derive_constants(CANONICAL)
+    assert info().currsize == 1
+    bad = SystemParams(C1=0.5, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+    rates = bykov.flow._rates.cache_info().currsize
+    q = SectionPoint(chart="In1", theta_lifted=0.0, log_coord=-1.0)
+    for _ in range(2):
+        with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
+            derive_constants(bad)
+        with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
+            poincare(q, bad)
+    assert info().currsize == 1
+    assert bykov.flow._rates.cache_info().currsize == rates

@@ -16,7 +16,6 @@ from bykov import (
     SectionPoint,
     SystemParams,
     invariant_tuple,
-    map_H,
     matching_params,
     verify_conjugacy,
 )
@@ -34,12 +33,12 @@ def main() -> None:
     inv_g = invariant_tuple(partner).as_array()
     print(f"  invariant gap: {np.abs(inv_p - inv_g).max():.2e}\n")
 
-    image = map_H(seed, params, partner, n_pairs=10)
+    report = verify_conjugacy(seed, params, partner, n_pairs=10)
+    image = report.image_point
     print(f"image of the seed under the conjugacy: "
           f"z0 = {float(np.exp(image.z0_log)):.6g}, "
           f"theta0 = {float(image.theta0_reduced):.6f}")
 
-    report = verify_conjugacy(seed, params, partner, n_pairs=10)
     print(f"replaying on the partner reproduces the schedule: "
           f"verdict {report.verdict}, max deviation {report.max_dev:.2e}\n")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from .adjusted import (
     AdjustedTimes,
     adjusted_sequence,
-    backward_T0_family,
     shift_invariance_check,
 )
 from .birkhoff import (
@@ -20,17 +19,15 @@ from .birkhoff import (
     Observable,
     birkhoff_average,
     historic_certificate,
-    observable_value,
     predicted_limits,
 )
-from .conjugacy import ConjugacyReport, RecoveredPoint, map_H, recover_point, verify_conjugacy
+from .conjugacy import ConjugacyReport, RecoveredPoint, recover_point, verify_conjugacy
 from .diagnostics import (
     DiagnosticSeries,
     corollary_ratios,
     estimate_invariants,
     lemma_diagnostics,
     perturbation_decay_slope,
-    richardson_tail,
 )
 from .errors import (
     BykovError,
@@ -43,7 +40,7 @@ from .errors import (
     OutOfSojourn,
     ParseError,
 )
-from .flow import CHARTS, FlowState, SectionPoint, flow_at, phi1, phi2, poincare, psi21, section_state
+from .flow import SectionPoint, phi1, phi2, poincare, psi21
 from .hitting import HittingSequence, generate_hitting_sequence, sojourn_fractions
 from .params import (
     DerivedConstants,
@@ -62,14 +59,12 @@ __all__ = [
     "AdjustedTimes",
     "AverageSeries",
     "BykovError",
-    "CHARTS",
     "Certificate",
     "ConjugacyReport",
     "ConstraintViolation",
     "DegenerateInput",
     "DerivedConstants",
     "DiagnosticSeries",
-    "FlowState",
     "HittingSequence",
     "InsufficientData",
     "InvalidTimes",
@@ -84,19 +79,15 @@ __all__ = [
     "SectionPoint",
     "SystemParams",
     "adjusted_sequence",
-    "backward_T0_family",
     "birkhoff_average",
     "corollary_ratios",
     "derive_constants",
     "estimate_invariants",
-    "flow_at",
     "generate_hitting_sequence",
     "historic_certificate",
     "invariant_tuple",
     "lemma_diagnostics",
-    "map_H",
     "matching_params",
-    "observable_value",
     "perturbation_decay_slope",
     "phi1",
     "phi2",
@@ -104,8 +95,6 @@ __all__ = [
     "predicted_limits",
     "psi21",
     "recover_point",
-    "richardson_tail",
-    "section_state",
     "shift_invariance_check",
     "sojourn_fractions",
     "validate_params",

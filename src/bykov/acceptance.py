@@ -33,8 +33,8 @@ from .diagnostics import (
     estimate_invariants,
     lemma_diagnostics,
     perturbation_decay_slope,
-    richardson_tail,
 )
+from .errors import InsufficientData
 from .flow import SectionPoint, poincare, psi21
 from .hitting import generate_hitting_sequence
 from .params import (
@@ -236,6 +236,20 @@ def _criterion_perturbed_identities() -> CriterionResult:
     return CriterionResult(3, "perturbed identities, decay slope, summability", passed, 0.0, detail)
 
 
+def _richardson_tail(seq: np.ndarray, rho: np.longdouble) -> np.longdouble:
+    """Accelerated limit estimate from the last two defined entries.
+
+    For a sequence whose error decays like ``rho**i`` the combination
+    ``(r[i] - rho*r[i-1]) / (1 - rho)`` cancels the leading error term.
+    NaN padding at the head is skipped automatically.
+    """
+    vals = seq[~np.isnan(seq)]
+    if len(vals) < 2:
+        raise InsufficientData("acceleration needs two defined entries")
+    rho = asld(rho)
+    return (vals[-1] - rho * vals[-2]) / (LD(1.0) - rho)
+
+
 def _criterion_ratio_limits() -> CriterionResult:
     p = CANONICAL_PARAMS
     d = derive_constants(p)
@@ -247,8 +261,8 @@ def _criterion_ratio_limits() -> CriterionResult:
     # raw tails at i=8 still carry O(1/T) transients (about 1e-5 here);
     # the geometric-acceleration estimator removes them
     g1_est = r1[8]
-    g2_est = richardson_tail(r2[: 8 + 1], rho)
-    d_est = richardson_tail(r3[: 8 + 1], rho)
+    g2_est = _richardson_tail(r2[: 8 + 1], rho)
+    d_est = _richardson_tail(r3[: 8 + 1], rho)
     e_g1 = float(abs(g1_est - d.gamma1))
     e_g2 = float(abs(g2_est - d.gamma2))
     e_d = float(abs(d_est - d.delta))

@@ -42,7 +42,6 @@ from .params import DerivedConstants
 
 __all__ = [
     "AdjustedTimes",
-    "backward_T0_family",
     "adjusted_sequence",
     "shift_invariance_check",
 ]
@@ -52,7 +51,11 @@ __all__ = [
 class AdjustedTimes:
     """Adjusted durations and hitting-time grids (all ``np.longdouble``).
 
-    ``T0_family`` is the backward family the limit was extracted from;
+    ``T0_family`` is the backward family the limit was extracted from,
+    one candidate zeroth duration per measured loop: element ``i``
+    carries ``T[i]`` back ``i`` chain steps to index 0.  In the idealized
+    model the family is constant; in general successive differences equal
+    the recursion residuals scaled by ``delta**-(i+1)``.
     ``residual_tail_bound`` bounds how far the true limit can sit beyond
     its last element.  ``t_even``/``t_odd`` are offset-anchored,
     ``t_even_zero``/``t_odd_zero`` are the zero-anchored representative.
@@ -83,21 +86,6 @@ def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
     for j in range(1, len(family)):
         family[j:] = (family[j:] + d.invariants.tau_log_a) / d.delta
     return family
-
-
-def backward_T0_family(h: HittingSequence, d: DerivedConstants) -> np.ndarray:
-    """Candidate zeroth durations, one per measured loop.
-
-    Element ``i`` carries ``T[i]`` all the way back to index 0, ``i``
-    chain steps rounded one by one; in the idealized model the family is
-    constant, and in general successive differences equal the recursion
-    residuals scaled by ``delta**-(i+1)``.
-    """
-    if h.n_pairs < 2:
-        raise InsufficientData(
-            f"the backward family needs at least 2 loops, got {h.n_pairs}"
-        )
-    return _carry_back(_loop_durations(h), d)
 
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
@@ -131,9 +119,13 @@ def adjusted_sequence(
         n = h.n_pairs
     if n < 1:
         raise InsufficientData(f"need at least one adjusted loop, got n={n}")
-    family = backward_T0_family(h, d)
-    T0, tail_bound = _extract_limit(family)
+    if h.n_pairs < 2:
+        raise InsufficientData(
+            f"the backward family needs at least 2 loops, got {h.n_pairs}"
+        )
     T = _loop_durations(h)
+    family = _carry_back(T, d)
+    T0, tail_bound = _extract_limit(family)
 
     horizon = max(n, len(T))
     T_seq_full = np.empty(horizon, dtype=LD)

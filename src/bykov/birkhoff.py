@@ -20,7 +20,9 @@ the equilibrium value to a common boundary value with profile
 ``max(rho, |z|)**m``.  It is integrated numerically, by composite
 Gauss-Legendre on the composed function ``G(flow(t))`` (never on the
 closed-form leg integrals the tests check it against), with one array
-pass per orbit: every node of every leg in a cylinder at once.
+pass per orbit: every node of every leg in a cylinder at once.  The
+bitwise reference for that pass is the longhand scalar flow, node by
+node, in ``tests/test_birkhoff.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import ConstraintViolation, InsufficientData
-from .flow import FlowState, SectionPoint, _sojourn_logs
+from .flow import SectionPoint, _sojourn_logs
 from .hitting import generate_hitting_sequence
 from .params import DerivedConstants, SystemParams, derive_constants
 
@@ -40,7 +42,6 @@ __all__ = [
     "Observable",
     "AverageSeries",
     "Certificate",
-    "observable_value",
     "predicted_limits",
     "birkhoff_average",
     "historic_certificate",
@@ -129,14 +130,6 @@ def _profile_value(G: Observable, g_sigma, rho_log, z_log):
     return float(g_sigma) + (G.boundary_value - float(g_sigma)) * profile
 
 
-def observable_value(G: Observable, state: FlowState) -> float:
-    """Evaluate the observable at an interior point of either cylinder."""
-    g_sigma = G.g_sigma1 if state.cylinder == "V1" else G.g_sigma2
-    if G.kind == "piecewise_constant":
-        return float(g_sigma)
-    return float(_profile_value(G, g_sigma, state.rho_log, state.z_log))
-
-
 def predicted_limits(
     d: DerivedConstants, G: Observable
 ) -> tuple[np.longdouble, np.longdouble]:
@@ -185,14 +178,15 @@ def _smooth_leg_integrals(
     toward the exit wall, with a kink where the two log-coordinates
     cross.  Each monotone piece is clipped to its contributing window and
     integrated by composite Gauss-Legendre on the *actual* composed
-    function ``G(flow(t))``, the linear flow evaluated by the kernel of
-    :func:`~bykov.flow.flow_at` at every node of every leg in one array
-    pass.  No closed forms are consumed here, so tests can check this
-    route against them independently.  Each segment's 32-node weighted
-    sum is taken left to right (``cumsum``, not a pairwise ``sum``) and
-    ``bincount`` adds each piece's segments in order, so every leg
-    integral equals a node-by-node loop over scalar ``flow_at`` calls bit
-    for bit; ``tests/test_birkhoff.py`` keeps that loop as the reference.
+    function ``G(flow(t))``, the linear flow evaluated by
+    :func:`~bykov.flow._sojourn_logs` at every node of every leg in one
+    array pass.  No closed forms are consumed here, so tests can check
+    this route against them independently.  Each segment's 32-node
+    weighted sum is taken left to right (``cumsum``, not a pairwise
+    ``sum``) and ``bincount`` adds each piece's segments in order, so
+    every leg integral equals, bit for bit, a node-by-node loop that
+    evaluates the linear flow longhand in scalar long double;
+    ``tests/test_birkhoff.py`` keeps that loop as the reference.
     """
     m = float(G.m)
     if cylinder == "V1":

@@ -34,7 +34,6 @@ __all__ = [
     "RecoveredPoint",
     "ConjugacyReport",
     "recover_point",
-    "map_H",
     "verify_conjugacy",
 ]
 
@@ -126,24 +125,6 @@ def _adjusted_image(
     return adj, recover_point(adj, g)
 
 
-def map_H(
-    q0: SectionPoint, p: SystemParams, g: SystemParams, n_pairs: int = 12
-) -> RecoveredPoint:
-    """Image of a seed of system ``p`` inside a matched system ``g``.
-
-    Runs the orbit of ``q0`` under ``p``, extracts its adjusted times,
-    and solves the recovery equations with the constants of ``g``.
-
-    Raises
-    ------
-    InvariantMismatch
-        If any of the four invariants of ``p`` and ``g`` differ by more
-        than 1e-9 — the construction is only meaningful inside one
-        conjugacy class.
-    """
-    return _adjusted_image(q0, p, g, n_pairs, strict=True)[1]
-
-
 def verify_conjugacy(
     q0: SectionPoint,
     p: SystemParams,
@@ -154,17 +135,22 @@ def verify_conjugacy(
 ) -> ConjugacyReport:
     """Replay the adjusted schedule of ``q0`` on system ``g`` and compare.
 
+    The report's ``image_point`` is the seed of ``g`` that the conjugacy
+    assigns to ``q0``: the recovery equations, with the constants of
+    ``g``, solved on the adjusted times of ``q0``'s orbit under ``p``.
     Generates ``g``'s orbit from the image point and measures every
     hitting time against the adjusted schedule of the source orbit; the
     schedule equality at all crossings *is* the conjugacy relation
     restricted to the sections, and its flow extension holds by
     construction between crossings.
 
-    With ``strict=True`` (default) mismatched invariants raise
-    :class:`~bykov.errors.InvariantMismatch` as for :func:`map_H`.
-    ``strict=False`` runs the replay anyway, which is how one observes
-    the geometric divergence separating non-conjugate systems; the
-    verdict then simply comes back false.
+    With ``strict=True`` (default) any of the four invariants of ``p``
+    and ``g`` differing by more than 1e-9 raises
+    :class:`~bykov.errors.InvariantMismatch`: the construction is only
+    meaningful inside one conjugacy class.  ``strict=False`` runs the
+    replay anyway, which is how one observes the geometric divergence
+    separating non-conjugate systems; the verdict then simply comes back
+    false.
     """
     adj, image = _adjusted_image(
         q0, p, g, n_pairs, strict,

@@ -40,7 +40,6 @@ __all__ = [
     "lemma_diagnostics",
     "corollary_ratios",
     "estimate_invariants",
-    "richardson_tail",
     "perturbation_decay_slope",
 ]
 
@@ -114,20 +113,6 @@ def corollary_ratios(h: HittingSequence, p: SystemParams) -> DiagnosticSeries:
     ratio4 = (w1 * s[:P] + w2 * u) / T
 
     return DiagnosticSeries(ratios=(ratio1, ratio2, ratio3, ratio4))
-
-
-def richardson_tail(seq: np.ndarray, rho: np.longdouble) -> np.longdouble:
-    """Accelerated limit estimate from the last two defined entries.
-
-    For a sequence whose error decays like ``rho**i`` the combination
-    ``(r[i] - rho*r[i-1]) / (1 - rho)`` cancels the leading error term.
-    NaN padding at the head is skipped automatically.
-    """
-    vals = seq[~np.isnan(seq)]
-    if len(vals) < 2:
-        raise InsufficientData("acceleration needs two defined entries")
-    rho = asld(rho)
-    return (vals[-1] - rho * vals[-2]) / (LD(1.0) - rho)
 
 
 def _tail_spread_ok(seq: np.ndarray, k: int = 3, rel: float = 1e-3) -> bool:

@@ -39,23 +39,17 @@ import numpy as np
 
 from ._num import LD, TWO_PI, asld
 from .errors import DegenerateInput, OutOfSojourn
-from .params import PerturbationSpec, SystemParams, derive_constants, validate_params
+from .params import PerturbationSpec, SystemParams, derive_constants
 
 __all__ = [
-    "CHARTS",
     "SectionPoint",
-    "FlowState",
     "phi1",
     "phi2",
     "psi21",
     "poincare",
-    "flow_at",
-    "section_state",
 ]
 
-CHARTS = ("In1", "Out1", "In2", "Out2")
-
-_ENTRY_CYLINDER = {"In1": "V1", "In2": "V2"}
+_CHARTS = ("In1", "Out1", "In2", "Out2")
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,9 @@ class SectionPoint:
     log_coord: np.longdouble
 
     def __post_init__(self) -> None:
-        if self.chart not in CHARTS:
+        if self.chart not in _CHARTS:
             raise DegenerateInput(
-                f"unknown chart {self.chart!r}; expected one of {CHARTS}"
+                f"unknown chart {self.chart!r}; expected one of {_CHARTS}"
             )
         object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
         object.__setattr__(self, "log_coord", asld(self.log_coord))
@@ -87,40 +81,11 @@ class SectionPoint:
         return np.mod(self.theta_lifted, TWO_PI)
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """An interior point of one cylinder, mid-sojourn.
-
-    Both log-coordinates are ``<= 0`` (the point lies inside or on the
-    boundary of the unit cylinder); the angle is lifted.
-    """
-
-    cylinder: str
-    rho_log: np.longdouble
-    theta_lifted: np.longdouble
-    z_log: np.longdouble
-
-    def __post_init__(self) -> None:
-        if self.cylinder not in ("V1", "V2"):
-            raise DegenerateInput(
-                f"unknown cylinder {self.cylinder!r}; expected 'V1' or 'V2'"
-            )
-        object.__setattr__(self, "rho_log", asld(self.rho_log))
-        object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
-        object.__setattr__(self, "z_log", asld(self.z_log))
-        _check_state(self.rho_log, self.z_log, self.theta_lifted)
-
-    @property
-    def theta(self) -> np.longdouble:
-        return np.mod(self.theta_lifted, TWO_PI)
-
-
-def _check_state(rho_log, z_log, theta_lifted=LD(0.0)) -> None:
-    """The flow-state checks, on raw values or arrays (see :class:`FlowState`)."""
-    inside = (-np.inf < rho_log) & (rho_log <= 0.0) & (-np.inf < z_log) & (z_log <= 0.0)
-    if (inside & np.isfinite(theta_lifted)).all():
+def _check_state(rho_log, z_log) -> None:
+    """Flow states, as log-coordinate values or arrays, are finite and ``<= 0``."""
+    if ((-np.inf < rho_log) & (rho_log <= 0.0) & (-np.inf < z_log) & (z_log <= 0.0)).all():
         return
-    for name, v in (("rho_log", rho_log), ("theta_lifted", theta_lifted), ("z_log", z_log)):
+    for name, v in (("rho_log", rho_log), ("z_log", z_log)):
         if not np.isfinite(v).all():
             raise DegenerateInput(f"{name} is not finite")
     raise DegenerateInput(
@@ -253,12 +218,8 @@ def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
     well-defined regardless.)  Instantaneous: no time elapses.
     """
     _require_chart(q, "Out2", "psi21")
-    a = asld(p.a)
-    return SectionPoint(
-        chart="In1",
-        theta_lifted=q.theta_lifted / a,
-        log_coord=np.log(a) + q.log_coord,
-    )
+    _, _, a, log_a = _leg_constants(p)
+    return SectionPoint("In1", q.theta_lifted / a, log_a + q.log_coord)
 
 
 def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
@@ -276,22 +237,6 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     u, log2, theta2 = _half_transition(log1, theta1, *leg2)
     _check_crossing(theta2, log2)  # the Out2 crossing, reinjected as psi21 does
     return SectionPoint("In1", theta2 / a, log_a + log2), s + u
-
-
-def section_state(q: SectionPoint) -> FlowState:
-    """View an entry-section point as the state starting its sojourn.
-
-    Only ``In1`` and ``In2`` points begin a sojourn; exit points would
-    need the transition data to say where they go next.
-    """
-    cyl = _ENTRY_CYLINDER.get(q.chart)
-    if cyl is None:
-        raise DegenerateInput(
-            f"section_state expects an entry chart (In1 or In2), got {q.chart}"
-        )
-    if cyl == "V1":
-        return FlowState("V1", rho_log=LD(0.0), theta_lifted=q.theta_lifted, z_log=q.log_coord)
-    return FlowState("V2", rho_log=q.log_coord, theta_lifted=q.theta_lifted, z_log=LD(0.0))
 
 
 _SNAP_ULPS = LD(64.0) * np.finfo(LD).eps
@@ -314,14 +259,15 @@ def _snap_boundary(log_val: np.ndarray, scale) -> np.ndarray:
 def _sojourn_logs(t, cylinder: str, rho_log, z_log, expand, contract):
     """The linear flow's ``(t, rho_log, z_log)`` at times ``t`` into a sojourn.
 
-    Array kernel of :func:`flow_at`: ``t`` (any shape, at least 1-d on
-    return) is broadcast against the entry log-coordinates ``rho_log`` and
-    ``z_log`` of the state, whose cylinder expands at ``expand`` and
-    contracts at ``contract``.  A time past the exit time ``t_exit`` by at
-    most one float64 ulp of ``t_exit`` is that exit time: a float64 time
-    rounded from a long-double sojourn may land there.  Any other time
+    The one evaluator of the flow inside a cylinder: ``t`` (any shape, at
+    least 1-d on return) is broadcast against the entry log-coordinates
+    ``rho_log`` and ``z_log`` in cylinder ``"V1"`` or ``"V2"``, which
+    expands at ``expand`` and contracts at ``contract``.  The linear field
+    governs the orbit until the exit time ``t_exit``; a time past it by at
+    most one float64 ulp of ``t_exit`` is that exit time (a float64 time
+    rounded from a long-double sojourn may land there).  Any other time
     outside ``[0, t_exit]`` raises :class:`~bykov.errors.OutOfSojourn`,
-    and the states reached are checked as :class:`FlowState` checks them.
+    and the states reached must pass :func:`_check_state`.
     """
     t = np.array(t, dtype=LD, ndmin=1)
     t_exit = -(z_log if cylinder == "V1" else rho_log) / expand
@@ -344,27 +290,3 @@ def _sojourn_logs(t, cylinder: str, rho_log, z_log, expand, contract):
         z = z_log - contract * t
     _check_state(rho, z)
     return t, rho, z
-
-
-def flow_at(t, s: FlowState, p: SystemParams) -> FlowState:
-    """Evaluate the linear flow ``t`` time units into the current sojourn.
-
-    ``t`` may be any value in ``[0, t_exit]`` where ``t_exit`` is the
-    remaining time until the state's cylinder is exited (``-z_log / E1``
-    in ``V1``, ``-rho_log / E2`` in ``V2``), or a float64 time at most
-    one ulp above ``t_exit``, which is taken as ``t_exit``; anything else
-    raises :class:`~bykov.errors.OutOfSojourn` because the linear field
-    simply does not govern the orbit beyond its own cylinder.
-    """
-    validate_params(p)
-    if s.cylinder == "V1":
-        expand, contract, omega = p.E1, p.C1, p.omega1
-    else:
-        expand, contract, omega = p.E2, p.C2, p.omega2
-    t, rho, z = _sojourn_logs(t, s.cylinder, s.rho_log, s.z_log, asld(expand), asld(contract))
-    return FlowState(
-        cylinder=s.cylinder,
-        rho_log=rho[0],
-        theta_lifted=s.theta_lifted + asld(omega) * t[0],
-        z_log=z[0],
-    )

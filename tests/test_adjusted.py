@@ -14,7 +14,6 @@ from bykov import (
     SectionPoint,
     SystemParams,
     adjusted_sequence,
-    backward_T0_family,
     derive_constants,
     generate_hitting_sequence,
     shift_invariance_check,
@@ -80,7 +79,7 @@ def test_family_matches_longhand_chain_bitwise(params):
 
 def test_family_is_constant_without_perturbation(ideal):
     h, adj = ideal
-    fam = backward_T0_family(h, D)
+    fam = adjusted_sequence(h, D).T0_family
     assert len(fam) == h.n_pairs
     spread = float(fam.max() - fam.min())
     assert spread < 1e-15
@@ -175,19 +174,18 @@ def test_single_time_perturbation_leaves_late_family_alone(perturbed):
         sojourns_V1=s, sojourns_V2=u, n_pairs=h.n_pairs,
     )
     d = derive_constants(PP)
-    fam0 = backward_T0_family(h, d)
-    fam1 = backward_T0_family(bumped, d)
-    # loop durations T_i for i >= 2 are untouched, hence bitwise equality
-    assert all(a == b for a, b in zip(fam0[2:], fam1[2:]))
     adj0 = adjusted_sequence(h, d)
     adj1 = adjusted_sequence(bumped, d)
+    fam0, fam1 = adj0.T0_family, adj1.T0_family
+    # loop durations T_i for i >= 2 are untouched, hence bitwise equality
+    assert all(a == b for a, b in zip(fam0[2:], fam1[2:]))
     assert abs(float(adj1.T0 - adj0.T0)) <= adj0.residual_tail_bound + adj1.residual_tail_bound
 
 
 def test_requires_two_pairs():
     h = generate_hitting_sequence(SEED, P, 1)
-    with pytest.raises(InsufficientData):
-        backward_T0_family(h, D)
+    with pytest.raises(InsufficientData, match="the backward family needs at least 2 loops, got 1"):
+        adjusted_sequence(h, D)
 
 
 def test_zero_anchored_grid_starts_at_zero(ideal):

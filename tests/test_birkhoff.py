@@ -9,7 +9,6 @@ import pytest
 
 from bykov import (
     ConstraintViolation,
-    FlowState,
     InsufficientData,
     Observable,
     PerturbationSpec,
@@ -17,17 +16,12 @@ from bykov import (
     SystemParams,
     birkhoff_average,
     derive_constants,
-    flow_at,
     generate_hitting_sequence,
     historic_certificate,
-    observable_value,
     predicted_limits,
-    psi21,
-    section_state,
 )
-import bykov.flow
 import bykov.params
-from bykov.birkhoff import _CLIP, _SEG_SPAN
+from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -61,18 +55,11 @@ def test_observable_validation():
     assert Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0).boundary_value == 0.5
 
 
-def test_observable_value_piecewise():
-    in_v1 = FlowState(cylinder="V1", rho_log=-1.0, theta_lifted=0.0, z_log=-2.0)
-    in_v2 = FlowState(cylinder="V2", rho_log=-2.0, theta_lifted=0.0, z_log=-1.0)
-    assert observable_value(INDICATOR, in_v1) == 0.0
-    assert observable_value(INDICATOR, in_v2) == 1.0
-
-
 def test_observable_value_smooth_interpolates():
     G = Observable(kind="smooth", g_sigma1=2.0, g_sigma2=6.0, m=3.0, g_boundary=5.0)
-    st = FlowState(cylinder="V1", rho_log=np.log(0.5), theta_lifted=0.0, z_log=np.log(0.25))
-    # max(rho, z) = 0.5, weight 0.5**3
-    np.testing.assert_allclose(observable_value(G, st), 2.0 + 3.0 * 0.125, rtol=1e-15)
+    # inside V1: max(rho, z) = 0.5, weight 0.5**3
+    value = _profile_value(G, G.g_sigma1, LD(np.log(0.5)), LD(np.log(0.25)))
+    np.testing.assert_allclose(value, 2.0 + 3.0 * 0.125, rtol=1e-15)
 
 
 def test_predicted_limits_canonical():
@@ -189,19 +176,44 @@ def test_smooth_long_orbit_matches_exponential_integrals():
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
-def _longhand_leg_integral(G, entry, leg_len, p):
-    """One smooth leg integral, node by node with scalar ``flow_at`` calls.
+def _longhand_flow_value(G, g, cylinder, entry, t, p):
+    """``G`` at float64 time ``t`` into a sojourn entered at log-coordinate ``entry``.
 
-    Composite Gauss-Legendre over ``observable_value(G, flow_at(t))`` on
-    the clipped decaying and rising pieces, each weighted sum taken left
-    to right and each piece summed segment by segment.
+    The linear flow written out in scalar long double: the contracting
+    log-coordinate is ``-C*t``, the expanding one ``entry + E*t``.  A time
+    at most one float64 ulp past the exit time is the exit time, and an
+    expanding coordinate that lands within ``64*eps*max(1, |entry|)`` above
+    the boundary is on it.  The profile is evaluated in float64.
+    """
+    if cylinder == "V1":
+        contract, expand = LD(p.C1), LD(p.E1)
+    else:
+        contract, expand = LD(p.C2), LD(p.E2)
+    t = LD(t)
+    t_exit = -entry / expand
+    if t > t_exit and t - t_exit <= np.spacing(float(t_exit)):
+        t = t_exit
+    fading = LD(0.0) - contract * t
+    growing = entry + expand * t
+    if 0.0 < growing < LD(64.0) * np.finfo(LD).eps * max(LD(1.0), abs(entry)):
+        growing = LD(0.0)
+    rho, z = (fading, growing) if cylinder == "V1" else (growing, fading)
+    return g + (G.boundary_value - g) * np.exp(float(G.m) * float(max(rho, z)))
+
+
+def _longhand_leg_integral(G, cylinder, entry, leg_len, p):
+    """One smooth leg integral, node by node with the longhand scalar flow.
+
+    Composite Gauss-Legendre over ``G(flow(t))`` on the clipped decaying
+    and rising pieces, each weighted sum taken left to right and each
+    piece summed segment by segment.
     """
     m = float(G.m)
-    if entry.cylinder == "V1":
-        contr, expand, depth, g = float(p.C1), float(p.E1), float(-entry.z_log), G.g_sigma1
+    if cylinder == "V1":
+        contr, expand, g = float(p.C1), float(p.E1), G.g_sigma1
     else:
-        contr, expand, depth, g = float(p.C2), float(p.E2), float(-entry.rho_log), G.g_sigma2
-    t_kink = depth / (contr + expand)
+        contr, expand, g = float(p.C2), float(p.E2), G.g_sigma2
+    t_kink = float(-entry) / (contr + expand)
     w1 = min(t_kink, _CLIP / (m * contr))
     w2 = min(leg_len - t_kink, _CLIP / (m * expand))
     total = g * leg_len
@@ -212,7 +224,7 @@ def _longhand_leg_integral(G, entry, leg_len, p):
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             piece += half * sum(
-                w * (observable_value(G, flow_at(mid + half * x, entry, p)) - g)
+                w * (_longhand_flow_value(G, g, cylinder, entry, mid + half * x, p) - g)
                 for x, w in zip(_GL_X, _GL_W)
             )
         total += piece
@@ -246,13 +258,13 @@ def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
         h = generate_hitting_sequence(q0, p, n // 2)
         increments = np.empty(n, dtype=LD)
         for j in range(n):
-            if j % 2 == 0:  # V1 leg, entered through the reinjection
-                entry = section_state(psi21(SectionPoint("Out2", h.theta[j], h.log_coord[j]), p))
+            if j % 2 == 0:  # V1 leg, height reinjected as ln a + ln z
+                cylinder, entry = "V1", np.log(LD(p.a)) + h.log_coord[j]
                 leg = h.sojourns_V1[j // 2]
-            else:  # V2 leg, entered through the glued lid
-                entry = section_state(SectionPoint("In2", h.theta[j], h.log_coord[j]))
+            else:  # V2 leg, radius glued unchanged from Out1 to In2
+                cylinder, entry = "V2", h.log_coord[j]
                 leg = h.sojourns_V2[j // 2]
-            increments[j] = _longhand_leg_integral(G, entry, float(leg), p)
+            increments[j] = _longhand_leg_integral(G, cylinder, entry, float(leg), p)
         reference = np.cumsum(increments) / h.times[1 : n + 1]
         s = birkhoff_average(q0, p, G, upto_index=n)
         assert np.array_equal(s.odd_averages, reference[0::2])
@@ -267,8 +279,7 @@ def test_smooth_average_validates_params_a_fixed_number_of_times(monkeypatch):
         calls.append(p)
         return validate(p)
 
-    for module in (bykov.params, bykov.flow):
-        monkeypatch.setattr(module, "validate_params", counting)
+    monkeypatch.setattr(bykov.params, "validate_params", counting)
     G = Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0)
     counts = []
     for upto in (8, 24):

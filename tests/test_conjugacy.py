@@ -14,7 +14,6 @@ from bykov import (
     adjusted_sequence,
     derive_constants,
     generate_hitting_sequence,
-    map_H,
     matching_params,
     recover_point,
     verify_conjugacy,
@@ -43,15 +42,15 @@ def test_recover_point_roundtrips_the_seed():
                                float(rec.theta0_reduced), atol=1e-15)
 
 
+def _image(seed, n_pairs):
+    """The image of ``seed`` in ``G`` under the conjugacy built from ``P``."""
+    return verify_conjugacy(seed, P, G, n_pairs=n_pairs).image_point
+
+
 def test_map_H_matched_image():
-    rec = map_H(SEED, P, G, n_pairs=10)
+    rec = _image(SEED, 10)
     np.testing.assert_allclose(float(np.exp(rec.z0_log)), 0.01, rtol=1e-10)
     np.testing.assert_allclose(float(np.exp(rec.rho1_log)), 6.25e-6, rtol=1e-10)
-
-
-def test_map_H_rejects_mismatched_invariants():
-    with pytest.raises(InvariantMismatch):
-        map_H(SEED, P, MISMATCHED, n_pairs=10)
 
 
 def test_verify_identity_system():
@@ -88,8 +87,8 @@ def test_injectivity_on_seed_heights():
     z0 = 0.1
     z1 = z0 * (1 + 1e-6)
     seed1 = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(z1)))
-    r0 = map_H(SEED, P, G, n_pairs=8)
-    r1 = map_H(seed1, P, G, n_pairs=8)
+    r0 = _image(SEED, 8)
+    r1 = _image(seed1, 8)
     rel_gap = abs(float(np.exp(r1.z0_log) / np.exp(r0.z0_log)) - 1.0)
     assert rel_gap >= 1e-7
 
@@ -101,8 +100,8 @@ def test_continuity_modulus_of_the_conjugacy():
     seed1 = SectionPoint(
         chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1 * (1 + dz)))
     )
-    r0 = map_H(SEED, P, G, n_pairs=8)
-    r1 = map_H(seed1, P, G, n_pairs=8)
+    r0 = _image(SEED, 8)
+    r1 = _image(seed1, 8)
     in_rel = abs(float(seed1.log_coord) - float(SEED.log_coord))
     out_rel = abs(float(r1.z0_log) - float(r0.z0_log))
     ratio = out_rel / in_rel

@@ -18,8 +18,8 @@ from bykov import (
     generate_hitting_sequence,
     lemma_diagnostics,
     perturbation_decay_slope,
-    richardson_tail,
 )
+from bykov.acceptance import _richardson_tail
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -78,14 +78,14 @@ def test_ratio_transients_decay_at_the_predicted_rate(ideal):
 def test_richardson_tail_kills_geometric_transients():
     rho = 0.25
     seq = 5.0 + 3.0 * rho ** np.arange(6, dtype=LD)
-    np.testing.assert_allclose(float(richardson_tail(seq, LD(rho))), 5.0, rtol=1e-18)
+    np.testing.assert_allclose(float(_richardson_tail(seq, LD(rho))), 5.0, rtol=1e-18)
     with pytest.raises(InsufficientData):
-        richardson_tail(seq[:1], LD(rho))
+        _richardson_tail(seq[:1], LD(rho))
 
 
 def test_richardson_skips_undefined_leading_entries():
     seq = np.array([np.nan, 4.0, 3.5, 3.25], dtype=LD)
-    out = float(richardson_tail(seq, LD(0.5)))
+    out = float(_richardson_tail(seq, LD(0.5)))
     np.testing.assert_allclose(out, 3.0, rtol=1e-15)
 
 

@@ -3,25 +3,25 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from bykov import (
+    ConstraintViolation,
     DegenerateInput,
-    FlowState,
     OutOfSojourn,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
-    flow_at,
     generate_hitting_sequence,
     phi1,
     phi2,
     poincare,
     psi21,
-    section_state,
 )
+from bykov.flow import _sojourn_logs
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -94,6 +94,16 @@ def test_psi21_reinjection_algebra():
         assert r.chart == "In1"
         np.testing.assert_allclose(float(r.theta_lifted), theta / P.a, rtol=1e-18)
         np.testing.assert_allclose(float(r.log_coord), np.log(0.5) + logz, rtol=1e-15)
+        assert r.theta_lifted == q.theta_lifted / LD(P.a)
+        assert r.log_coord == np.log(LD(P.a)) + q.log_coord
+    # a outside (0, 1) is refused up front, before any log is taken
+    q = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=-1.0)
+    for a in (1.5, -0.5):
+        bad = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="a must lie strictly between 0 and 1"):
+                psi21(q, bad)
 
 
 def test_poincare_height_recursion_one_step():
@@ -200,59 +210,57 @@ def test_perturbation_cannot_push_through_axis():
         phi1(q, pp)
 
 
+# the linear flow inside V1, entered from In1 (rho_log = 0, z_log < 0)
+V1_RATES = (LD(P.E1), LD(P.C1))
+
+
 def test_section_state_and_flow_endpoints():
-    q = SectionPoint(chart="In1", theta_lifted=1.0, log_coord=float(np.log(0.05)))
-    s = section_state(q)
-    assert s.cylinder == "V1"
-    assert float(s.rho_log) == 0.0
-    start = flow_at(0.0, s, P)
-    np.testing.assert_array_equal(
-        [float(start.rho_log), float(start.z_log)], [float(s.rho_log), float(s.z_log)]
-    )
-    t_exit = -s.z_log / LD(P.E1)
-    end = flow_at(t_exit, s, P)
-    assert float(end.z_log) == 0.0  # exactly on the lid, snapped
+    z_log = LD(np.log(0.05))
+    _, rho, z = _sojourn_logs(0.0, "V1", LD(0.0), z_log, *V1_RATES)
+    np.testing.assert_array_equal([float(rho[0]), float(z[0])], [0.0, float(z_log)])
+    t_exit = -z_log / LD(P.E1)
+    _, rho, z = _sojourn_logs(t_exit, "V1", LD(0.0), z_log, *V1_RATES)
+    assert float(z[0]) == 0.0  # exactly on the lid
     with pytest.raises(OutOfSojourn):
-        flow_at(float(t_exit) * 1.01, s, P)
+        _sojourn_logs(float(t_exit) * 1.01, "V1", LD(0.0), z_log, *V1_RATES)
     with pytest.raises(OutOfSojourn):
-        flow_at(-0.1, s, P)
+        _sojourn_logs(-0.1, "V1", LD(0.0), z_log, *V1_RATES)
+    # in V2, entered from In2, the rounded multiply-add overshoots the wall
+    rho_log, rates = LD(-15.518991359192194), (LD(1.71845667068446), LD(3.0))
+    t_exit2 = -rho_log / rates[0]
+    assert rho_log + rates[0] * t_exit2 > 0.0
+    assert _sojourn_logs(t_exit2, "V2", rho_log, LD(0.0), *rates)[1][0] == 0.0  # snapped
 
 
 def test_flow_at_takes_a_float64_exit_time_rounded_up():
     # a long sojourn: its float64 exit time may lie above the long-double one
-    s = section_state(SectionPoint(chart="In1", theta_lifted=1.0, log_coord=LD("-18922045849271.07")))
-    t_exit = -s.z_log / LD(P.E1)
+    z_log = LD("-18922045849271.07")
+    t_exit = -z_log / LD(P.E1)
     t_up = float(t_exit)
     if LD(t_up) <= t_exit:
         t_up = np.nextafter(t_up, np.inf)
     assert LD(t_up) > t_exit
-    end = flow_at(t_up, s, P)
-    assert float(end.z_log) == 0.0
-    assert end.theta_lifted == flow_at(t_exit, s, P).theta_lifted
+    t, rho, z = _sojourn_logs(t_up, "V1", LD(0.0), z_log, *V1_RATES)
+    assert float(z[0]) == 0.0
+    assert t[0] == t_exit
+    assert rho[0] == _sojourn_logs(t_exit, "V1", LD(0.0), z_log, *V1_RATES)[1][0]
+    two_ulps_up = np.nextafter(np.nextafter(t_up, np.inf), np.inf)
     with pytest.raises(OutOfSojourn):
-        flow_at(np.nextafter(np.nextafter(t_up, np.inf), np.inf), s, P)
+        _sojourn_logs(two_ulps_up, "V1", LD(0.0), z_log, *V1_RATES)
 
 
 def test_flow_interior_is_linear_in_log():
     rng = np.random.default_rng(8)
     for _ in range(20):
         z0 = float(rng.uniform(1e-6, 0.9))
-        q = SectionPoint(chart="In1", theta_lifted=0.3, log_coord=float(np.log(z0)))
-        s = section_state(q)
-        t_exit = float(-s.z_log / LD(P.E1))
+        z_log = LD(float(np.log(z0)))
+        t_exit = float(-z_log / LD(P.E1))
         t = rng.uniform(0, t_exit)
-        mid = flow_at(t, s, P)
-        np.testing.assert_allclose(float(mid.rho_log), -P.C1 * t, rtol=1e-14, atol=1e-16)
-        np.testing.assert_allclose(
-            float(mid.z_log), float(s.z_log) + P.E1 * t, rtol=1e-14, atol=1e-16
-        )
-        np.testing.assert_allclose(
-            float(mid.theta_lifted), 0.3 + P.omega1 * t, rtol=1e-14
-        )
+        _, rho, z = _sojourn_logs(t, "V1", LD(0.0), z_log, *V1_RATES)
+        np.testing.assert_allclose(float(rho[0]), -P.C1 * t, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(float(z[0]), float(z_log) + P.E1 * t, rtol=1e-14, atol=1e-16)
 
 
 def test_flow_state_validation():
-    with pytest.raises(DegenerateInput):
-        FlowState(cylinder="V3", rho_log=-1.0, theta_lifted=0.0, z_log=-1.0)
-    with pytest.raises(DegenerateInput):
-        FlowState(cylinder="V1", rho_log=0.5, theta_lifted=0.0, z_log=-1.0)
+    with pytest.raises(DegenerateInput, match="outside the unit cylinder"):
+        _sojourn_logs(0.0, "V1", LD(0.5), LD(-1.0), *V1_RATES)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._num import LD
 from .errors import InsufficientData
-from .hitting import HittingSequence
+from .hitting import HittingSequence, _legs
 from .params import DerivedConstants
 
 __all__ = [
@@ -70,10 +70,6 @@ class AdjustedTimes:
     t_odd_zero: np.ndarray
     offset: np.longdouble
     residual_tail_bound: float
-
-
-def _loop_durations(h: HittingSequence) -> np.ndarray:
-    return h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
 
 
 def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
@@ -123,7 +119,7 @@ def adjusted_sequence(
         raise InsufficientData(
             f"the backward family needs at least 2 loops, got {h.n_pairs}"
         )
-    T = _loop_durations(h)
+    T = _legs(h)[2]
     family = _carry_back(T, d)
     T0, tail_bound = _extract_limit(family)
 
@@ -166,6 +162,6 @@ def shift_invariance_check(h: HittingSequence, d: DerivedConstants, N: int) -> f
         raise InsufficientData(
             f"shift check needs 0 <= N < n_pairs - 2 = {h.n_pairs - 2}, got {N}"
         )
-    family_N = _carry_back(_loop_durations(h)[N:], d)
+    family_N = _carry_back(_legs(h)[2][N:], d)
     target = adjusted_sequence(h, d).T_seq[N]
     return float(np.max(np.abs(family_N - target)))

@@ -36,7 +36,7 @@ from ._num import LD, asld
 from .errors import ConstraintViolation, InsufficientData
 from .flow import SectionPoint, _sojourn_logs
 from .hitting import generate_hitting_sequence
-from .params import DerivedConstants, SystemParams, derive_constants
+from .params import DerivedConstants, SystemParams, _check_tol, derive_constants
 
 __all__ = [
     "Observable",
@@ -277,8 +277,10 @@ def historic_certificate(s: AverageSeries, tol: float = 1e-3) -> Certificate:
     ``(1 - gamma1*gamma2)(G2 - G1) / ((1+gamma1)(1+gamma2))``,
     which equals ``predicted_odd - predicted_even``; it is nonzero for
     every admissible parameter set and non-constant observable because
-    the saddle-index product strictly exceeds 1.
+    the saddle-index product strictly exceeds 1.  ``tol`` must be
+    positive and finite.
     """
+    _check_tol(tol)
     if len(s.even_averages) < 4 or len(s.odd_averages) < 4:
         raise InsufficientData(
             "certification needs at least 4 sampled averages per parity, got "

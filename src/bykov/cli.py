@@ -46,8 +46,10 @@ from .conjugacy import verify_conjugacy
 from .diagnostics import corollary_ratios, lemma_diagnostics
 from .errors import BykovError, ConstraintViolation, ParseError
 from .flow import SectionPoint
-from .hitting import generate_hitting_sequence
-from .params import PerturbationSpec, SystemParams, derive_constants, validate_params
+from .hitting import _legs, generate_hitting_sequence
+from .params import (
+    PerturbationSpec, SystemParams, _check_tol, derive_constants, validate_params,
+)
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_csv", "main"]
 
@@ -100,13 +102,6 @@ def _number(obj: dict, key: str, path: str) -> float:
     if not math.isfinite(num):
         raise ParseError("value must be finite", f"{path}.{key}")
     return num
-
-
-def _check_tol(tol: float) -> float:
-    """The tolerance of a verdict, from the config or from ``--tol``."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConstraintViolation(f"tol must be positive and finite, got {tol}")
-    return tol
 
 
 def _warn_unknown(obj: dict, path: str, known: Sequence[str]) -> None:
@@ -295,7 +290,7 @@ def _run_adjusted(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
                   tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
     adj = adjusted_sequence(h, derive_constants(cfg.params))
-    T = h.sojourns_V1[:n] + h.sojourns_V2
+    T = _legs(h)[2]
     columns = zip(T, adj.T_seq, h.times[0::2], adj.t_even, h.times[1::2], adj.t_odd)
     rows = [(i, Ti, Ttil, te, tte, to, tto, te - tte)
             for i, (Ti, Ttil, te, tte, to, tto) in enumerate(columns)]

@@ -28,7 +28,7 @@ from .adjusted import AdjustedTimes, adjusted_sequence
 from .errors import InvalidTimes, InvariantMismatch
 from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
-from .params import SystemParams, derive_constants, invariant_tuple
+from .params import SystemParams, _check_tol, derive_constants, invariant_tuple
 
 __all__ = [
     "RecoveredPoint",
@@ -104,27 +104,6 @@ def recover_point(t_adj: AdjustedTimes, p: SystemParams) -> RecoveredPoint:
     )
 
 
-def _adjusted_image(
-    q0: SectionPoint, p: SystemParams, g: SystemParams, n_pairs: int,
-    strict: bool, hint: str = "",
-) -> tuple[AdjustedTimes, RecoveredPoint]:
-    """Adjusted times of ``q0``'s orbit under ``p`` and their image in ``g``.
-
-    One adjusted loop beyond the measured ones gives the closing odd
-    crossing a partner; the image reads only ``T0`` and so does not
-    depend on the adjusted loop count.
-    """
-    devs = np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array())
-    if strict and np.any(devs > _INVARIANT_TOL):
-        raise InvariantMismatch(
-            "systems do not share the invariant tuple; componentwise "
-            f"deviations {[float(x) for x in devs]} exceed {_INVARIANT_TOL}{hint}"
-        )
-    h = generate_hitting_sequence(q0, p, n_pairs)
-    adj = adjusted_sequence(h, derive_constants(p), n_pairs + 1)
-    return adj, recover_point(adj, g)
-
-
 def verify_conjugacy(
     q0: SectionPoint,
     p: SystemParams,
@@ -150,12 +129,21 @@ def verify_conjugacy(
     meaningful inside one conjugacy class.  ``strict=False`` runs the
     replay anyway, which is how one observes the geometric divergence
     separating non-conjugate systems; the verdict then simply comes back
-    false.
+    false.  ``tol`` must be positive and finite.
     """
-    adj, image = _adjusted_image(
-        q0, p, g, n_pairs, strict,
-        hint="; pass strict=False to observe the divergence anyway",
-    )
+    _check_tol(tol)
+    devs = np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array())
+    if strict and np.any(devs > _INVARIANT_TOL):
+        raise InvariantMismatch(
+            "systems do not share the invariant tuple; componentwise "
+            f"deviations {[float(x) for x in devs]} exceed {_INVARIANT_TOL}; "
+            "pass strict=False to observe the divergence anyway"
+        )
+    # one adjusted loop beyond the measured ones gives the closing odd
+    # crossing a partner; the image reads only T0, not the loop count
+    h = generate_hitting_sequence(q0, p, n_pairs)
+    adj = adjusted_sequence(h, derive_constants(p), n_pairs + 1)
+    image = recover_point(adj, g)
 
     seed_bar = SectionPoint(
         chart="Out2", theta_lifted=image.theta0, log_coord=image.z0_log

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import InsufficientData, NonConvergent
-from .hitting import HittingSequence
+from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, InvariantTuple, SystemParams, derive_constants
 
 __all__ = [
@@ -63,10 +63,14 @@ class DiagnosticSeries:
     ratios: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def _legs(h: HittingSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = h.sojourns_V1
-    u = h.sojourns_V2
-    return s, u, s[: len(u)] + u
+def _after_nan(x: np.ndarray) -> np.ndarray:
+    """``x`` behind one NaN: a series whose formula starts at loop 1."""
+    return np.concatenate(([_NAN], x))
+
+
+def _ratios(s: np.ndarray, u: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``ratio1``, ``ratio2`` and ``ratio3``, aligned with the loop index."""
+    return u / s[: len(u)], _after_nan(s[1:] / u), _after_nan(T[1:] / T[:-1])
 
 
 def lemma_diagnostics(h: HittingSequence, d: DerivedConstants) -> DiagnosticSeries:
@@ -76,21 +80,12 @@ def lemma_diagnostics(h: HittingSequence, d: DerivedConstants) -> DiagnosticSeri
             f"lemma diagnostics need at least 3 loops, got {h.n_pairs}"
         )
     s, u, T = _legs(h)
-    P = h.n_pairs
-
-    lemma1 = np.full(P + 1, _NAN, dtype=LD)
-    lemma1[1:] = s[1:] - d.gamma2 * u
-
-    lemma2 = u - d.gamma1 * s[:P]
-
-    lemma3 = np.full(P, _NAN, dtype=LD)
-    lemma3[1:] = T[1:] - d.delta * T[:-1]
-
-    residuals = np.full(P, _NAN, dtype=LD)
-    residuals[1:] = lemma3[1:] + d.invariants.tau_log_a
-
+    lemma3 = T[1:] - d.delta * T[:-1]
     return DiagnosticSeries(
-        lemma1=lemma1, lemma2=lemma2, lemma3=lemma3, residuals=residuals
+        lemma1=_after_nan(s[1:] - d.gamma2 * u),
+        lemma2=u - d.gamma1 * s[: len(u)],
+        lemma3=_after_nan(lemma3),
+        residuals=_after_nan(lemma3 + d.invariants.tau_log_a),
     )
 
 
@@ -99,20 +94,8 @@ def corollary_ratios(h: HittingSequence, p: SystemParams) -> DiagnosticSeries:
     if h.n_pairs < 2:
         raise InsufficientData(f"ratio diagnostics need at least 2 loops, got {h.n_pairs}")
     s, u, T = _legs(h)
-    P = h.n_pairs
-    w1, w2 = asld(p.omega1), asld(p.omega2)
-
-    ratio1 = u / s[:P]
-
-    ratio2 = np.full(P + 1, _NAN, dtype=LD)
-    ratio2[1:] = s[1:] / u
-
-    ratio3 = np.full(P, _NAN, dtype=LD)
-    ratio3[1:] = T[1:] / T[:-1]
-
-    ratio4 = (w1 * s[:P] + w2 * u) / T
-
-    return DiagnosticSeries(ratios=(ratio1, ratio2, ratio3, ratio4))
+    ratio4 = (asld(p.omega1) * s[: len(u)] + asld(p.omega2) * u) / T
+    return DiagnosticSeries(ratios=(*_ratios(s, u, T), ratio4))
 
 
 def _tail_spread_ok(seq: np.ndarray, k: int = 3, rel: float = 1e-3) -> bool:
@@ -159,9 +142,7 @@ def estimate_invariants(h: HittingSequence) -> InvariantTuple:
     s, u, T = _legs(h)
     P = h.n_pairs
 
-    ratio1 = u / s[:P]
-    ratio2 = s[1:] / u
-    ratio3 = T[1:] / T[:-1]
+    ratio1, ratio2, ratio3 = _ratios(s, u, T)
     for name, seq in (("ratio1", ratio1), ("ratio2", ratio2), ("ratio3", ratio3)):
         if not _tail_spread_ok(seq):
             raise NonConvergent(
@@ -231,22 +212,14 @@ def perturbation_decay_slope(h: HittingSequence, p: SystemParams) -> float:
     d = derive_constants(p)
     lemma2 = lemma_diagnostics(h, d).lemma2
     s, u, _ = _legs(h)
-    P = h.n_pairs
-    log_a = np.log(asld(p.a))
-
-    eps_ld = np.finfo(LD).eps
-    xs: list[float] = []
-    ys: list[float] = []
-    for i in range(P):
-        floor = LD(1e3) * eps_ld * max(abs(u[i]), abs(d.gamma1 * s[i]), LD(1.0))
-        val = abs(lemma2[i])
-        if val > floor:
-            xs.append(float(log_a + h.log_coord[2 * i]))
-            ys.append(float(np.log(val)))
-    if len(xs) < 2:
+    scale = np.maximum(np.maximum(abs(u), abs(d.gamma1 * s[: len(u)])), LD(1.0))
+    val = abs(lemma2)
+    above = val > LD(1e3) * np.finfo(LD).eps * scale
+    if np.count_nonzero(above) < 2:
         raise InsufficientData(
             "no perturbation signal above the noise floor; "
             "the decay slope is only defined for perturbed runs"
         )
-    slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
-    return float(slope)
+    # ln of the height at which loop i re-enters the first cylinder
+    xs = (np.log(asld(p.a)) + h.log_coord[0:-2:2])[above]
+    return float(np.polyfit(xs.astype(float), np.log(val[above]).astype(float), 1)[0])

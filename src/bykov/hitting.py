@@ -91,6 +91,12 @@ def generate_hitting_sequence(
     )
 
 
+def _legs(h: HittingSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sojourn legs ``s``, ``u`` and the loop durations ``T = s + u``."""
+    s, u = h.sojourns_V1, h.sojourns_V2
+    return s, u, s[: len(u)] + u
+
+
 def sojourn_fractions(h: HittingSequence, upto_index: int) -> tuple[np.longdouble, np.longdouble]:
     """Fractions of ``[0, times[upto_index]]`` spent in each cylinder.
 

@@ -23,6 +23,7 @@ Everything here is computed in extended precision (see ``bykov._num``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,8 @@ def validate_params(p: SystemParams) -> SystemParams:
     ------
     ConstraintViolation
         If any of the rate orderings, positivity conditions, the angle
-        scaling range ``0 < a < 1``, or the perturbation ranges fail.
+        scaling range ``0 < a < 1``, or the perturbation ranges fail, or
+        a rate or perturbation amplitude is infinite.
         The message lists every violated condition.
     """
     problems: list[str] = []
@@ -138,6 +140,7 @@ def validate_params(p: SystemParams) -> SystemParams:
         problems.append(f"omega2 must be positive, got {p.omega2}")
     if not (0.0 < p.a < 1.0):
         problems.append(f"a must lie strictly between 0 and 1, got {p.a}")
+    rates = [("C1", p.C1), ("C2", p.C2), ("omega1", p.omega1), ("omega2", p.omega2)]
     if p.perturbation is not None:
         q = p.perturbation
         if not (q.c1 >= 0.0):
@@ -148,9 +151,19 @@ def validate_params(p: SystemParams) -> SystemParams:
             problems.append(
                 f"perturbation.eps must lie strictly between 0 and 1, got {q.eps}"
             )
+        rates += [("perturbation.c1", q.c1), ("perturbation.c2", q.c2)]
+    # +inf passes the comparisons above for these; E1, E2, a and eps cannot be inf
+    problems += [f"{name} must be finite, got {v}" for name, v in rates if v == math.inf]
     if problems:
         raise ConstraintViolation("; ".join(problems))
     return p
+
+
+def _check_tol(tol: float) -> float:
+    """The tolerance of a verdict: positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConstraintViolation(f"tol must be positive and finite, got {tol}")
+    return tol
 
 
 @functools.lru_cache(maxsize=128)

@@ -322,3 +322,10 @@ def test_smooth_average_refuses_an_exponent_whose_rates_leave_the_float_range():
         for m, p in ((1e308, P), (5e-324, slow)):
             with pytest.raises(ConstraintViolation, match="e-folding rates"):
                 birkhoff_average(SEED, p, Observable("smooth", 0.0, 1.0, m=m), 8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_certificate_tolerance_must_be_positive_and_finite(tol):
+    s = birkhoff_average(SEED, P, INDICATOR, upto_index=16)
+    with pytest.raises(ConstraintViolation, match="tol must be positive and finite"):
+        historic_certificate(s, tol=tol)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bykov import (
+    ConstraintViolation,
     InsufficientData,
     InvalidTimes,
     InvariantMismatch,
@@ -140,3 +141,10 @@ def test_recover_rejects_disordered_times():
 def test_verify_needs_enough_pairs():
     with pytest.raises(InsufficientData):
         verify_conjugacy(SEED, P, G, n_pairs=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_verdict_tolerance_must_be_positive_and_finite(tol):
+    # with tol=inf a replay that misses by 0.67 would read as conjugate
+    with pytest.raises(ConstraintViolation, match="tol must be positive and finite"):
+        verify_conjugacy(SEED, P, MISMATCHED, n_pairs=6, tol=tol, strict=False)

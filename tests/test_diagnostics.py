@@ -174,3 +174,99 @@ def test_diagnostics_need_enough_pairs():
     h = generate_hitting_sequence(SEED, P, 2)
     with pytest.raises(InsufficientData):
         lemma_diagnostics(h, derive_constants(P))
+
+
+def _random_orbit(rng, perturbed):
+    E1, E2 = rng.uniform(0.5, 2.0, size=2)
+    pert = None
+    if perturbed:
+        c1, c2 = rng.uniform(0.0, 0.1, size=2)
+        pert = PerturbationSpec(c1=c1, c2=c2, eps=rng.uniform(0.3, 0.8))
+    p = SystemParams(
+        C1=E1 * rng.uniform(1.2, 3.0), E1=E1, omega1=rng.uniform(0.5, 3.0),
+        C2=E2 * rng.uniform(1.2, 3.0), E2=E2, omega2=rng.uniform(0.5, 3.0),
+        a=rng.uniform(0.1, 0.9), perturbation=pert,
+    )
+    q0 = SectionPoint("Out2", rng.uniform(0.0, 2 * np.pi), np.log(rng.uniform(0.01, 0.5)))
+    return generate_hitting_sequence(q0, p, 12), p
+
+
+def _longhand_ratios(h, p):
+    """The four ratio series, one loop at a time."""
+    s, u, P = h.sojourns_V1, h.sojourns_V2, h.n_pairs
+    T = [s[i] + u[i] for i in range(P)]
+    nan = LD(np.nan)
+    return (
+        np.array([u[i] / s[i] for i in range(P)], dtype=LD),
+        np.array([nan] + [s[i] / u[i - 1] for i in range(1, P + 1)], dtype=LD),
+        np.array([nan] + [T[i] / T[i - 1] for i in range(1, P)], dtype=LD),
+        np.array([(LD(p.omega1) * s[i] + LD(p.omega2) * u[i]) / T[i] for i in range(P)],
+                 dtype=LD),
+    )
+
+
+def _longhand_estimate(h, p):
+    s, u, P = h.sojourns_V1, h.sojourns_V2, h.n_pairs
+    T = [s[i] + u[i] for i in range(P)]
+    r1, r2, r3, _ = _longhand_ratios(h, p)
+    for name, seq in (("ratio1", r1), ("ratio2", r2[1:]), ("ratio3", r3[1:])):
+        tail = seq[-3:].astype(float)
+        if not np.std(tail) <= 1e-3 * abs(np.mean(tail)):
+            raise NonConvergent(f"{name} tail has not stabilized")
+    gamma1 = u[P - 1] / s[P - 1]
+    x, y = u[P - 5 : P], s[P - 4 : P + 1]
+    xm, ym = x.mean(), y.mean()
+    gamma2 = ((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum()
+    tau_log_a = -(T[P - 1] - (gamma1 * gamma2) * T[P - 2])
+    th = h.theta
+    omega2 = (th[2 * P] - th[2 * P - 1]) / u[P - 1]
+    q1, q2, y1, y2 = th[2 * P - 2], th[2 * P], th[2 * P - 1], th[2 * P + 1]
+    det = q1 * s[P] - q2 * s[P - 1]
+    if not abs(det) > LD(1e-13) * max(abs(q1 * s[P]), abs(q2 * s[P - 1]), LD(1.0)):
+        raise NonConvergent("angle relation is degenerate")
+    omega1 = (q1 * y2 - q2 * y1) / det
+    combo = (gamma1 + LD(1.0)) * ((omega1 * s[P - 1] + omega2 * u[P - 1]) / T[P - 1])
+    return np.array([gamma1, gamma2, combo, tau_log_a], dtype=LD)
+
+
+def _longhand_decay_slope(h, p):
+    s, u = h.sojourns_V1, h.sojourns_V2
+    gamma1 = LD(p.C1) / LD(p.E2)
+    xs, ys = [], []
+    for i in range(h.n_pairs):
+        floor = LD(1e3) * np.finfo(LD).eps * max(abs(u[i]), abs(gamma1 * s[i]), LD(1.0))
+        val = abs(u[i] - gamma1 * s[i])
+        if val > floor:
+            xs.append(float(np.log(LD(p.a)) + h.log_coord[2 * i]))
+            ys.append(float(np.log(val)))
+    if len(xs) < 2:
+        raise InsufficientData("no perturbation signal above the noise floor")
+    return np.polyfit(xs, ys, 1)[0]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (InsufficientData, NonConvergent) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["idealized", "perturbed"])
+def test_diagnostics_match_longhand_formulas_bitwise(perturbed):
+    rng = np.random.default_rng(31 + perturbed)
+    for _ in range(100):
+        h, p = _random_orbit(rng, perturbed)
+        ratios = corollary_ratios(h, p).ratios
+        assert all(_same_bits(a, b) for a, b in zip(ratios, _longhand_ratios(h, p)))
+        est = _outcome(estimate_invariants, h)
+        want = _outcome(_longhand_estimate, h, p)
+        assert est is want if isinstance(want, type) else _same_bits(est.as_array(), want)
+        slope = _outcome(perturbation_decay_slope, h, p)
+        want = _outcome(_longhand_decay_slope, h, p)
+        assert slope is want if isinstance(want, type) else _same_bits(np.float64(slope), want)

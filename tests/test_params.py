@@ -201,3 +201,17 @@ def test_derived_constants_are_memoized_per_parameter_set():
             poincare(q, bad)
     assert info().currsize == 1
     assert bykov.flow._rates.cache_info().currsize == rates
+
+
+@pytest.mark.parametrize("field", ["C1", "C2", "omega1", "omega2", "c1", "c2"])
+def test_validate_rejects_infinite_rates(field):
+    base = dict(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+    pert = dict(c1=0.1, c2=0.1, eps=0.5)
+    (pert if field in pert else base)[field] = math.inf
+    p = SystemParams(**base, perturbation=PerturbationSpec(**pert))
+    # an infinite rate passes every ordering check; unchecked it gives
+    # gamma1 = inf, or a misleading "radius correction" error in the generator
+    message = rf"^(perturbation\.)?{field} must be finite, got inf$"
+    for check in (validate_params, invariant_tuple):
+        with pytest.raises(ConstraintViolation, match=message):
+            check(p)

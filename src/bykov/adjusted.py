@@ -38,7 +38,7 @@ import numpy as np
 from ._num import LD
 from .errors import InsufficientData
 from .hitting import HittingSequence, _legs
-from .params import DerivedConstants
+from .params import DerivedConstants, _check_count
 
 __all__ = [
     "AdjustedTimes",
@@ -113,7 +113,7 @@ def adjusted_sequence(
     """
     if n is None:
         n = h.n_pairs
-    if n < 1:
+    if _check_count(n, "n") < 1:
         raise InsufficientData(f"need at least one adjusted loop, got n={n}")
     if h.n_pairs < 2:
         raise InsufficientData(
@@ -158,7 +158,7 @@ def shift_invariance_check(h: HittingSequence, d: DerivedConstants, N: int) -> f
     idealized input it is rounding-level, and in general it is controlled
     by the residual tail beyond loop ``N``.
     """
-    if N < 0 or N >= h.n_pairs - 2:
+    if not 0 <= _check_count(N, "N") < h.n_pairs - 2:
         raise InsufficientData(
             f"shift check needs 0 <= N < n_pairs - 2 = {h.n_pairs - 2}, got {N}"
         )

@@ -36,7 +36,9 @@ from ._num import LD, asld
 from .errors import ConstraintViolation, InsufficientData
 from .flow import SectionPoint, _sojourn_logs
 from .hitting import generate_hitting_sequence
-from .params import DerivedConstants, SystemParams, _check_tol, derive_constants
+from .params import (
+    DerivedConstants, SystemParams, _check_count, _check_tol, derive_constants,
+)
 
 __all__ = [
     "Observable",
@@ -231,7 +233,7 @@ def birkhoff_average(
     accuracy far beyond 1e-8, all legs of a cylinder in one array pass,
     and accumulated the same way.
     """
-    if upto_index < 1:
+    if _check_count(upto_index, "upto_index") < 1:
         raise InsufficientData(f"upto_index must be at least 1, got {upto_index}")
     n_pairs = max(1, upto_index // 2)
     h = generate_hitting_sequence(q0, p, n_pairs)

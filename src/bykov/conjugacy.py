@@ -28,7 +28,9 @@ from .adjusted import AdjustedTimes, adjusted_sequence
 from .errors import InvalidTimes, InvariantMismatch
 from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
-from .params import SystemParams, _check_tol, derive_constants, invariant_tuple
+from .params import (
+    SystemParams, _check_count, _check_tol, derive_constants, invariant_tuple,
+)
 
 __all__ = [
     "RecoveredPoint",
@@ -129,8 +131,9 @@ def verify_conjugacy(
     meaningful inside one conjugacy class.  ``strict=False`` runs the
     replay anyway, which is how one observes the geometric divergence
     separating non-conjugate systems; the verdict then simply comes back
-    false.  ``tol`` must be positive and finite.
+    false.  ``n_pairs`` must be an integer and ``tol`` positive and finite.
     """
+    _check_count(n_pairs, "n_pairs")
     _check_tol(tol)
     devs = np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array())
     if strict and np.any(devs > _INVARIANT_TOL):

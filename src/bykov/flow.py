@@ -102,9 +102,10 @@ def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> No
     if not (-np.inf < theta_lifted < np.inf):
         raise DegenerateInput(f"theta_lifted is not finite: {theta_lifted}")
     if not (-np.inf < log_coord < 0.0):
+        note = "; the log-coordinate left the long-double range" if log_coord == -np.inf else ""
         raise DegenerateInput(
             "log_coord must be finite and strictly negative "
-            f"(point off the connection), got {log_coord}"
+            f"(point off the connection), got {log_coord}{note}"
         )
 
 
@@ -113,27 +114,44 @@ def _require_chart(q: SectionPoint, chart: str, op: str) -> None:
         raise DegenerateInput(f"{op} expects a point on {chart}, got {q.chart}")
 
 
+# exp(x) rounds to +0 for every x below this: ln of the smallest subnormal,
+# less a margin of 2 (ln 2 would do) that absorbs the rounding of the cut-offs
+_LN_UNDERFLOW = np.log(np.finfo(LD).smallest_subnormal) - LD(2.0)
+
+
 @functools.lru_cache(maxsize=128)
 def _rates(p: SystemParams) -> tuple:
-    """The long-double ``(E1, omega1, c1), (E2, omega2, c2), eps, a, ln a`` of a valid ``p``."""
+    """Long-double ``(E, omega, c, cut)`` of both legs, ``eps``, ``a``, ``ln a`` of a valid ``p``.
+
+    ``cut`` is the entry log-coordinate below which the leg's perturbation
+    has underflowed: ``(ln(smallest subnormal) - 2) / (saddle*eps)``, with
+    the saddle index ``C/E`` of the leg, or ``+inf`` when ``c`` is 0, so
+    that every entry lies below it (see :func:`_half_transition`).
+    """
     pert = p.perturbation or PerturbationSpec()
-    a = asld(p.a)
+    eps, a = asld(pert.eps), asld(p.a)
+
+    def leg(C, E, omega, c):
+        E, c = asld(E), asld(c)
+        cut = _LN_UNDERFLOW / (asld(C) / E * eps) if c != 0.0 else LD(np.inf)
+        return E, asld(omega), c, cut
+
     return (
-        (asld(p.E1), asld(p.omega1), asld(pert.c1)),
-        (asld(p.E2), asld(p.omega2), asld(pert.c2)),
-        asld(pert.eps), a, np.log(a),
+        leg(p.C1, p.E1, p.omega1, pert.c1),
+        leg(p.C2, p.E2, p.omega2, pert.c2),
+        eps, a, np.log(a),
     )
 
 
 def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble]:
-    """Kernel constants ``(expand, saddle, twist, c, eps)`` of the V1 and V2 legs, ``a``, ``ln a``.
+    """Kernel constants ``(expand, saddle, twist, c, eps, cut)`` of both legs, ``a``, ``ln a``.
 
     Derived once per parameter set: ``derive_constants`` (which validates
     ``p``) and :func:`_rates` are memoized.  No perturbation is the zero one.
     """
     d = derive_constants(p)
-    (E1, w1, c1), (E2, w2, c2), eps, a, log_a = _rates(p)
-    return (E1, d.delta1, w1, c1, eps), (E2, d.delta2, w2, c2, eps), a, log_a
+    (E1, w1, c1, cut1), (E2, w2, c2, cut2), eps, a, log_a = _rates(p)
+    return (E1, d.delta1, w1, c1, eps, cut1), (E2, d.delta2, w2, c2, eps, cut2), a, log_a
 
 
 def _half_transition(
@@ -144,6 +162,7 @@ def _half_transition(
     twist: np.longdouble,
     c: np.longdouble,
     eps: np.longdouble,
+    cut: np.longdouble,
 ) -> tuple[np.longdouble, np.longdouble, np.longdouble]:
     """Shared kernel of both half-transition maps.
 
@@ -157,24 +176,33 @@ def _half_transition(
     the radial ``±0`` is ``±0``, and the angle term, whose exponent is no
     larger, is ``±0`` too (rounding is monotone); ``theta_out`` is never
     ``-0``, so adding either leaves it as it is.
+
+    Below the leg's cut-off (see :func:`_rates`) one comparison decides
+    it, without calling ``exp``: there the rounded exponent
+    ``saddle*eps*log_in`` lies under ``ln(tiny) - 2``, up to a few ulps of
+    rounding in the cut-off and the product, so ``exp`` rounds to +0 and
+    ``c*0 == 0`` for the finite ``c``.  Just above the cut-off the
+    amplitude is still tested for 0.  With ``c == 0`` the cut-off is
+    ``+inf`` and the idealized transit is all there is.
     """
     transit = -log_in / expand
     log_out = saddle * log_in
     theta_out = theta_in + twist * transit
-    if c != 0.0:
-        amplitude = c * np.exp(saddle * eps * log_in)
-        if amplitude == 0.0:
-            return transit, log_out, theta_out
-        radial = amplitude * np.cos(theta_in)
-        if not (LD(1.0) + radial > 0.0):
-            raise DegenerateInput(
-                "radius correction reaches the spiral axis; "
-                f"1 + {float(radial)} <= 0"
-            )
-        log_out = log_out + np.log1p(radial)
-        theta_out = theta_out + c * np.exp(saddle * (LD(1.0) + eps) * log_in) * np.sin(
-            theta_in
+    if log_in < cut:
+        return transit, log_out, theta_out
+    amplitude = c * np.exp(saddle * eps * log_in)
+    if amplitude == 0.0:
+        return transit, log_out, theta_out
+    radial = amplitude * np.cos(theta_in)
+    if not (LD(1.0) + radial > 0.0):
+        # an angle that overflowed on reinjection makes radial NaN: say so
+        _check_crossing(theta_in, log_in)
+        raise DegenerateInput(
+            "radius correction reaches the spiral axis; "
+            f"1 + {float(radial)} <= 0"
         )
+    log_out = log_out + np.log1p(radial)
+    theta_out = theta_out + c * np.exp(saddle * (LD(1.0) + eps) * log_in) * np.sin(theta_in)
     return transit, log_out, theta_out
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from ._num import LD
 from .errors import DegenerateInput, InsufficientData
 from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants
-from .params import SystemParams
+from .params import SystemParams, _check_count
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]
 
@@ -57,7 +57,7 @@ def generate_hitting_sequence(
         raise DegenerateInput(
             f"seed must lie on Out2 (exit of the second cylinder), got {q0.chart}"
         )
-    if n_pairs < 1:
+    if _check_count(n_pairs, "n_pairs") < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
     leg1, leg2, a, log_a = _leg_constants(p)
 
@@ -104,7 +104,7 @@ def sojourn_fractions(h: HittingSequence, upto_index: int) -> tuple[np.longdoubl
     computed as one minus the first, and the elapsed time is itself a sum
     of sojourns.  ``upto_index`` must point at a crossing after the seed.
     """
-    if not 1 <= upto_index < len(h.times):
+    if not 1 <= _check_count(upto_index, "upto_index") < len(h.times):
         raise InsufficientData(
             f"upto_index must lie in [1, {len(h.times) - 1}], got {upto_index}"
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,14 @@ def _check_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ConstraintViolation(f"tol must be positive and finite, got {tol}")
     return tol
+
+
+def _check_count(n, name: str) -> int:
+    """A count or index argument: a Python or NumPy integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ConstraintViolation(f"{name} must be an integer, got {n!r}") from None
 
 
 @functools.lru_cache(maxsize=128)

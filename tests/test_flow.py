@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import warnings
 
@@ -21,7 +22,7 @@ from bykov import (
     poincare,
     psi21,
 )
-from bykov.flow import _sojourn_logs
+from bykov.flow import _half_transition, _leg_constants, _sojourn_logs
 
 LD = np.longdouble
 P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -197,6 +198,67 @@ def test_poincare_checks_each_exit_crossing(c1, c2, got):
     message = "log_coord must be finite and strictly negative (point off the connection), got "
     with pytest.raises(DegenerateInput, match=re.escape(message + got)):
         poincare(q, pp)
+
+
+def test_a_log_coordinate_past_the_long_double_range_says_so():
+    # delta = 81: the log height overflows to -inf at the 2585th return,
+    # with a finite angle; the point is not off the connection
+    p = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5)
+    seed = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=-1.0)
+    message = re.escape("got -inf; the log-coordinate left the long-double range")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DegenerateInput, match=message):
+            generate_hitting_sequence(seed, p, 3000)
+    q = psi21(seed, p)
+    for _ in range(2584):
+        q, _ = poincare(q, p)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DegenerateInput, match=message):
+            poincare(q, p)
+    # a finite bad value gets no such note
+    with pytest.raises(DegenerateInput, match=r"got 0\.5$"):
+        SectionPoint(chart="In1", theta_lifted=0.0, log_coord=0.5)
+
+
+@pytest.mark.parametrize("c", [5e-324, 0.1, 20, 1e300])
+def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
+    # at the cut-off the kernel still evaluates exp; one long double below
+    # it, it does not; both agree bitwise with the always-evaluating longhand
+    tiny64 = np.finfo(np.float64).smallest_subnormal
+    for eps in (1e-300, 1e-3, 0.5, 1 - 2**-52):
+        for saddle in (1 + 2**-40, 1.44, 9, 1e6):
+            p = SystemParams(
+                C1=saddle, E1=1, omega1=1, C2=saddle, E2=1, omega2=2, a=0.5,
+                perturbation=PerturbationSpec(c1=c, c2=c, eps=eps),
+            )
+            for leg in _leg_constants(p)[:2]:
+                expand, sad, twist, c_ld, eps_ld, cut = leg
+                assert sad == LD(saddle) and -np.inf < cut < 0.0
+                for log_in in (cut, np.nextafter(cut, LD(-np.inf))):
+                    assert c_ld * np.exp(sad * eps_ld * log_in) == 0.0
+                    for theta_in in (LD(0.7), LD(2.5), LD(-0.0), LD(-4.0)):
+                        transit = -log_in / expand
+                        want = (
+                            transit,
+                            sad * log_in + np.log1p(
+                                c_ld * np.exp(sad * eps_ld * log_in) * np.cos(theta_in)),
+                            theta_in + twist * transit
+                            + c_ld * np.exp(sad * (LD(1.0) + eps_ld) * log_in) * np.sin(theta_in),
+                        )
+                        got = _half_transition(log_in, theta_in, *leg)
+                        for g, w in zip(got, want):
+                            assert g == w and np.signbit(g) == np.signbit(w)
+            # the same cut-off where longdouble is float64 is conservative too
+            cut64 = (np.log(tiny64) - 2.0) / (saddle * eps)
+            for log_in in (cut64, np.nextafter(cut64, -np.inf)):
+                assert c * np.exp(saddle * eps * log_in) == 0.0
+
+
+def test_an_unperturbed_leg_has_no_cut_off():
+    half = dataclasses.replace(PP, perturbation=PerturbationSpec(c1=0.0, c2=0.1))
+    assert [leg[-1] for leg in _leg_constants(P)[:2]] == [np.inf, np.inf]
+    cut1, cut2 = (leg[-1] for leg in _leg_constants(half)[:2])
+    assert cut1 == np.inf and -np.inf < cut2 < 0.0
 
 
 def test_perturbation_cannot_push_through_axis():

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from bykov import (
+    BykovError,
     DegenerateInput,
     InsufficientData,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
     generate_hitting_sequence,
+    phi1,
+    poincare,
+    psi21,
     sojourn_fractions,
 )
 import bykov.flow
@@ -232,3 +240,85 @@ def test_underflowed_corrections_are_skipped_bitwise():
         for got, want in zip((h.times, h.theta, h.log_coord), expected):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _outcome(run):
+    """``("ok", value)``, or ``("refused", type name, message)`` for a BykovError.
+
+    NumPy's overflow warnings are recorded rather than raised here, so that
+    a refusal is seen as the caller sees it; a result must come without any.
+    """
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            value = run()
+        except BykovError as e:
+            return "refused", type(e).__name__, str(e)
+    assert not seen, [str(w.message) for w in seen]
+    return "ok", value
+
+
+def _iterated_poincare(q0, p, n_pairs):
+    """``n_pairs`` return steps from the reinjected seed, then the closing ``phi1``."""
+    q, steps = psi21(q0, p), []
+    for _ in range(n_pairs):
+        q, t = poincare(q, p)
+        steps.append((q.theta_lifted, q.log_coord, t))
+    out1, s = phi1(q, p)
+    return steps, (out1.theta_lifted, out1.log_coord, s)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=LD), np.asarray(want, dtype=LD)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_delta = st.floats(1.0, 4.0, exclude_min=True)
+_rate = st.floats(0.25, 4.0)
+
+
+@given(
+    E1=_rate, E2=_rate, d1=_delta, d2=_delta,
+    w1=st.floats(0.1, 5.0), w2=st.floats(0.1, 5.0),
+    a=st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 1.0, exclude_max=True)),
+    c1=st.floats(0.0, 20.0), c2=st.floats(0.0, 20.0),
+    eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    theta0=st.floats(-10.0, 10.0), z0=st.floats(1e-300, 0.5),
+)
+# the reinjected angle overflows while the perturbation is still awake;
+# the generator used to call that a radius correction reaching the axis
+@example(E1=1.0, E2=1.0, d1=1.5, d2=1.5, w1=1.0, w2=1.0, a=1e-300,
+         c1=0.1, c2=0.1, eps=1e-9, theta0=1.0, z0=float(np.exp(-1.0)))
+def test_perturbed_orbits_match_the_longhand_or_refuse_alike(
+    E1, E2, d1, d2, w1, w2, a, c1, c2, eps, theta0, z0
+):
+    C1, C2 = E1 * d1, E2 * d2
+    assume(C1 > E1 and C2 > E2)
+    p = SystemParams(
+        C1=C1, E1=E1, omega1=w1, C2=C2, E2=E2, omega2=w2, a=a,
+        perturbation=PerturbationSpec(c1=c1, c2=c2, eps=eps),
+    )
+    seed = SectionPoint("Out2", theta0, float(np.log(z0)))
+    n = 60
+    gen = _outcome(lambda: generate_hitting_sequence(seed, p, n))
+    ret = _outcome(lambda: _iterated_poincare(seed, p, n))
+    if gen[0] == "refused" or ret[0] == "refused":
+        assert gen == ret
+        return
+    (times, theta, log_coord), _ = _longhand_perturbed_orbit(seed, p, n)
+    h = gen[1]
+    for got, want in zip((h.times, h.theta, h.log_coord), (times, theta, log_coord)):
+        assert _same_bits(got, want)
+    # the return map: In1 points and return times, from the longhand crossings
+    a_ld = LD(a)
+    log_a = np.log(a_ld)
+    steps, closing = ret[1]
+    k = np.arange(1, n + 1)
+    s = -(log_a + log_coord[2 * k - 2]) / LD(E1)
+    u = -log_coord[2 * k - 1] / LD(E2)
+    got = np.array(steps, dtype=LD)
+    assert _same_bits(got[:, 0], theta[2 * k] / a_ld)
+    assert _same_bits(got[:, 1], log_a + log_coord[2 * k])
+    assert _same_bits(got[:, 2], s + u)
+    last = -(log_a + log_coord[2 * n]) / LD(E1)
+    assert _same_bits(closing, [theta[2 * n + 1], log_coord[2 * n + 1], last])

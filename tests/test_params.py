@@ -9,16 +9,24 @@ import pytest
 
 from bykov import (
     ConstraintViolation,
+    Observable,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
+    adjusted_sequence,
+    birkhoff_average,
     derive_constants,
+    generate_hitting_sequence,
     invariant_tuple,
     matching_params,
     poincare,
+    shift_invariance_check,
+    sojourn_fractions,
     validate_params,
+    verify_conjugacy,
 )
 import bykov.flow
+from bykov.acceptance import MATCHED_PARAMS, SEED
 
 CANONICAL = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
 
@@ -215,3 +223,30 @@ def test_validate_rejects_infinite_rates(field):
     for check in (validate_params, invariant_tuple):
         with pytest.raises(ConstraintViolation, match=message):
             check(p)
+
+
+H8 = generate_hitting_sequence(SEED, CANONICAL, 8)
+
+
+@pytest.mark.parametrize(
+    "name, value, call",
+    [
+        ("n_pairs", 2.0, lambda v: generate_hitting_sequence(SEED, CANONICAL, v)),
+        ("upto_index", 4.0, lambda v: birkhoff_average(
+            SEED, CANONICAL, Observable("piecewise_constant", 0.0, 1.0), v)),
+        ("n", 2.5, lambda v: adjusted_sequence(H8, derive_constants(CANONICAL), v)),
+        ("N", 1.5, lambda v: shift_invariance_check(H8, derive_constants(CANONICAL), v)),
+        ("upto_index", 2.0, lambda v: sojourn_fractions(H8, v)),
+        ("n_pairs", 12.0, lambda v: verify_conjugacy(SEED, CANONICAL, MATCHED_PARAMS, n_pairs=v)),
+    ],
+    ids=["generate_hitting_sequence", "birkhoff_average", "adjusted_sequence",
+         "shift_invariance_check", "sojourn_fractions", "verify_conjugacy"],
+)
+def test_non_integral_counts_are_refused(name, value, call):
+    # a float count used to end in numpy's bare TypeError from np.empty or a slice
+    for bad in (value, np.float64(value), "3"):
+        with pytest.raises(ConstraintViolation, match=rf"^{name} must be an integer, got "):
+            call(bad)
+    # Python and NumPy integers are counts
+    for good in (2, np.int64(2), np.uint8(2)):
+        call(good)

@@ -247,7 +247,7 @@ def birkhoff_average(
         # V1 legs enter from the Out2 crossings 0, 2, ..., reinjected by
         # psi21; V2 legs from the Out1 crossings 1, 3, ..., glued to In2
         increments[0::2] = _smooth_leg_integrals(
-            G, "V1", np.log(asld(p.a)) + h.log_coord[0:upto_index:2],
+            G, "V1", d.log_a + h.log_coord[0:upto_index:2],
             h.sojourns_V1[: (upto_index + 1) // 2].astype(float), p,
         )
         increments[1::2] = _smooth_leg_integrals(

@@ -89,7 +89,7 @@ def recover_point(t_adj: AdjustedTimes, p: SystemParams) -> RecoveredPoint:
             f"t2={float(t2)}"
         )
     d = derive_constants(p)
-    z0_log = -asld(p.E1) * t1 - np.log(asld(p.a))
+    z0_log = -asld(p.E1) * t1 - d.log_a
     if not (z0_log < 0.0):
         raise InvalidTimes(
             "adjusted first leg is too short to correspond to an interior "

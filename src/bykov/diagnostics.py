@@ -221,5 +221,5 @@ def perturbation_decay_slope(h: HittingSequence, p: SystemParams) -> float:
             "the decay slope is only defined for perturbed runs"
         )
     # ln of the height at which loop i re-enters the first cylinder
-    xs = (np.log(asld(p.a)) + h.log_coord[0:-2:2])[above]
+    xs = (d.log_a + h.log_coord[0:-2:2])[above]
     return float(np.polyfit(xs.astype(float), np.log(val[above]).astype(float), 1)[0])

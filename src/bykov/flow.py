@@ -120,38 +120,32 @@ _LN_UNDERFLOW = np.log(np.finfo(LD).smallest_subnormal) - LD(2.0)
 
 
 @functools.lru_cache(maxsize=128)
-def _rates(p: SystemParams) -> tuple:
-    """Long-double ``(E, omega, c, cut)`` of both legs, ``eps``, ``a``, ``ln a`` of a valid ``p``.
-
-    ``cut`` is the entry log-coordinate below which the leg's perturbation
-    has underflowed: ``(ln(smallest subnormal) - 2) / (saddle*eps)``, with
-    the saddle index ``C/E`` of the leg, or ``+inf`` when ``c`` is 0, so
-    that every entry lies below it (see :func:`_half_transition`).
-    """
-    pert = p.perturbation or PerturbationSpec()
-    eps, a = asld(pert.eps), asld(p.a)
-
-    def leg(C, E, omega, c):
-        E, c = asld(E), asld(c)
-        cut = _LN_UNDERFLOW / (asld(C) / E * eps) if c != 0.0 else LD(np.inf)
-        return E, asld(omega), c, cut
-
-    return (
-        leg(p.C1, p.E1, p.omega1, pert.c1),
-        leg(p.C2, p.E2, p.omega2, pert.c2),
-        eps, a, np.log(a),
-    )
-
-
 def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble]:
     """Kernel constants ``(expand, saddle, twist, c, eps, cut)`` of both legs, ``a``, ``ln a``.
 
-    Derived once per parameter set: ``derive_constants`` (which validates
-    ``p``) and :func:`_rates` are memoized.  No perturbation is the zero one.
+    Derived once per parameter set and memoized; ``derive_constants``
+    validates ``p`` first, so an invalid set is never stored.  No
+    perturbation is the zero one.  ``saddle`` is the leg's saddle index
+    ``delta1 = C1/E1`` or ``delta2 = C2/E2``.  ``cut`` is the entry
+    log-coordinate below which the leg's perturbation has underflowed:
+    ``(ln(smallest subnormal) - 2) / (saddle*eps)``, or ``+inf`` when
+    ``c`` is 0, so that every entry lies below it (see
+    :func:`_half_transition`).
     """
     d = derive_constants(p)
-    (E1, w1, c1, cut1), (E2, w2, c2, cut2), eps, a, log_a = _rates(p)
-    return (E1, d.delta1, w1, c1, eps, cut1), (E2, d.delta2, w2, c2, eps, cut2), a, log_a
+    pert = p.perturbation or PerturbationSpec()
+    eps = asld(pert.eps)
+
+    def leg(E, saddle, omega, c):
+        c = asld(c)
+        cut = _LN_UNDERFLOW / (saddle * eps) if c != 0.0 else LD(np.inf)
+        return asld(E), saddle, asld(omega), c, eps, cut
+
+    return (
+        leg(p.E1, d.delta1, p.omega1, pert.c1),
+        leg(p.E2, d.delta2, p.omega2, pert.c2),
+        asld(p.a), d.log_a,
+    )
 
 
 def _half_transition(
@@ -171,29 +165,24 @@ def _half_transition(
     ``saddle`` (ratio of contraction to expansion), and winding speed
     ``twist`` (angle advanced per unit time).
 
-    The corrections are skipped once ``c*exp(saddle*eps*log_in)`` has
-    underflowed to 0, a few loops in.  That keeps the bits: ``log1p`` of
+    Below the leg's cut-off (see :func:`_leg_constants`), a few loops in,
+    the corrections are skipped without calling ``exp``.  There the
+    rounded exponent ``saddle*eps*log_in`` lies under ``ln(tiny) - 2``,
+    up to a few ulps of rounding in the cut-off and the product, so
+    ``exp`` rounds to +0 and the amplitude ``c*exp(saddle*eps*log_in)``
+    is 0 for the finite ``c``.  Corrections of amplitude 0 change no bit,
+    whether skipped or, just above the cut-off, evaluated: ``log1p`` of
     the radial ``±0`` is ``±0``, and the angle term, whose exponent is no
     larger, is ``±0`` too (rounding is monotone); ``theta_out`` is never
-    ``-0``, so adding either leaves it as it is.
-
-    Below the leg's cut-off (see :func:`_rates`) one comparison decides
-    it, without calling ``exp``: there the rounded exponent
-    ``saddle*eps*log_in`` lies under ``ln(tiny) - 2``, up to a few ulps of
-    rounding in the cut-off and the product, so ``exp`` rounds to +0 and
-    ``c*0 == 0`` for the finite ``c``.  Just above the cut-off the
-    amplitude is still tested for 0.  With ``c == 0`` the cut-off is
-    ``+inf`` and the idealized transit is all there is.
+    ``-0``, so adding either leaves it as it is.  With ``c == 0`` the
+    cut-off is ``+inf`` and the idealized transit is all there is.
     """
     transit = -log_in / expand
     log_out = saddle * log_in
     theta_out = theta_in + twist * transit
     if log_in < cut:
         return transit, log_out, theta_out
-    amplitude = c * np.exp(saddle * eps * log_in)
-    if amplitude == 0.0:
-        return transit, log_out, theta_out
-    radial = amplitude * np.cos(theta_in)
+    radial = c * np.exp(saddle * eps * log_in) * np.cos(theta_in)
     if not (LD(1.0) + radial > 0.0):
         # an angle that overflowed on reinjection makes radial NaN: say so
         _check_crossing(theta_in, log_in)

@@ -97,7 +97,8 @@ class DerivedConstants:
     """Ratios and rates derived from a :class:`SystemParams`.
 
     All numeric fields are ``np.longdouble``.  ``delta = gamma1 * gamma2
-    = delta1 * delta2`` must exceed 1 for the cycle to attract.  The
+    = delta1 * delta2`` must exceed 1 for the cycle to attract.
+    ``log_a = ln(a)`` is the log-height shift of the reinjection.  The
     conjugacy invariants ride along so that time-series diagnostics can
     take a single argument.
     """
@@ -109,6 +110,7 @@ class DerivedConstants:
     delta: np.longdouble
     K: np.longdouble
     tau: np.longdouble
+    log_a: np.longdouble
     invariants: InvariantTuple
 
 
@@ -184,7 +186,7 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
     validate_params(p)
     C1, E1 = asld(p.C1), asld(p.E1)
     C2, E2 = asld(p.C2), asld(p.E2)
-    w1, w2 = asld(p.omega1), asld(p.omega2)
+    w1, w2, a = asld(p.omega1), asld(p.omega2), asld(p.a)
     gamma1 = C1 / E2
     gamma2 = C2 / E1
     delta1 = C1 / E1
@@ -192,11 +194,12 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
     delta = delta1 * delta2
     K = (w1 + gamma1 * w2) / E1
     tau = (LD(1.0) + gamma1) / E1
+    log_a = np.log(a)
     inv = InvariantTuple(
         gamma1=gamma1,
         gamma2=gamma2,
         omega_combo=w1 + gamma1 * w2,
-        tau_log_a=tau * np.log(asld(p.a)),
+        tau_log_a=tau * log_a,
     )
     return DerivedConstants(
         gamma1=gamma1,
@@ -206,6 +209,7 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
         delta=delta,
         K=K,
         tau=tau,
+        log_a=log_a,
         invariants=inv,
     )
 

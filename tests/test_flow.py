@@ -223,7 +223,9 @@ def test_a_log_coordinate_past_the_long_double_range_says_so():
 @pytest.mark.parametrize("c", [5e-324, 0.1, 20, 1e300])
 def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
     # at the cut-off the kernel still evaluates exp; one long double below
-    # it, it does not; both agree bitwise with the always-evaluating longhand
+    # it, it does not; above it, up to the last entry whose amplitude is
+    # still exactly 0, it evaluates corrections that are ±0; all agree
+    # bitwise with the always-evaluating longhand
     tiny64 = np.finfo(np.float64).smallest_subnormal
     for eps in (1e-300, 1e-3, 0.5, 1 - 2**-52):
         for saddle in (1 + 2**-40, 1.44, 9, 1e6):
@@ -234,8 +236,17 @@ def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
             for leg in _leg_constants(p)[:2]:
                 expand, sad, twist, c_ld, eps_ld, cut = leg
                 assert sad == LD(saddle) and -np.inf < cut < 0.0
-                for log_in in (cut, np.nextafter(cut, LD(-np.inf))):
-                    assert c_ld * np.exp(sad * eps_ld * log_in) == 0.0
+
+                def amplitude(log_in):
+                    return c_ld * np.exp(sad * eps_ld * log_in)
+
+                lo, hi = cut, LD(0.0)  # bisect for the last entry with amplitude 0
+                while (mid := (lo + hi) / 2) not in (lo, hi):
+                    lo, hi = (mid, hi) if amplitude(mid) == 0.0 else (lo, mid)
+                assert cut < lo
+                above = (np.nextafter(cut, LD(np.inf)), (cut + lo) / 2, lo)
+                for log_in in (cut, np.nextafter(cut, LD(-np.inf))) + above:
+                    assert amplitude(log_in) == 0.0
                     for theta_in in (LD(0.7), LD(2.5), LD(-0.0), LD(-4.0)):
                         transit = -log_in / expand
                         want = (

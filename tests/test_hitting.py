@@ -168,6 +168,7 @@ def test_constants_derived_once_per_orbit(monkeypatch):
 
     for module in (bykov.flow, bykov.hitting):
         monkeypatch.setattr(module, "derive_constants", counting, raising=False)
+    bykov.flow._leg_constants.cache_clear()
     generate_hitting_sequence(SEED, P, 6)
     assert calls == [P]
 

@@ -26,6 +26,7 @@ from bykov import (
     verify_conjugacy,
 )
 import bykov.flow
+from bykov._num import LD
 from bykov.acceptance import MATCHED_PARAMS, SEED
 
 CANONICAL = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
@@ -43,6 +44,9 @@ def test_derived_constants_canonical():
     np.testing.assert_allclose(
         float(d.invariants.tau_log_a), -1.6173434213065390553, rtol=1e-15
     )
+    # nonzero and finite, so equal long doubles are equal bit for bit
+    assert d.log_a == np.log(LD(0.5))
+    assert d.invariants.tau_log_a == d.tau * d.log_a
 
 
 def test_invariant_tuple_components():
@@ -194,13 +198,13 @@ def test_matching_params_drops_perturbation():
 def test_derived_constants_are_memoized_per_parameter_set():
     info = derive_constants.cache_info
     assert info().maxsize is not None
-    assert bykov.flow._rates.cache_info().maxsize is not None
+    assert bykov.flow._leg_constants.cache_info().maxsize is not None
     derive_constants.cache_clear()
     twin = SystemParams(C1=2.0, E1=1.0, omega1=1.0, C2=3.0, E2=1.5, omega2=2.0, a=0.5)
     assert derive_constants(twin) is derive_constants(CANONICAL)
     assert info().currsize == 1
     bad = SystemParams(C1=0.5, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-    rates = bykov.flow._rates.cache_info().currsize
+    rates = bykov.flow._leg_constants.cache_info().currsize
     q = SectionPoint(chart="In1", theta_lifted=0.0, log_coord=-1.0)
     for _ in range(2):
         with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
@@ -208,7 +212,7 @@ def test_derived_constants_are_memoized_per_parameter_set():
         with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
             poincare(q, bad)
     assert info().currsize == 1
-    assert bykov.flow._rates.cache_info().currsize == rates
+    assert bykov.flow._leg_constants.cache_info().currsize == rates
 
 
 @pytest.mark.parametrize("field", ["C1", "C2", "omega1", "omega2", "c1", "c2"])

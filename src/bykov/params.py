@@ -170,11 +170,13 @@ def _check_tol(tol: float) -> float:
 
 
 def _check_count(n, name: str) -> int:
-    """A count or index argument: a Python or NumPy integer."""
+    """A count or index argument: a Python or NumPy integer, not a bool."""
     try:
-        return operator.index(n)
+        if not isinstance(n, bool):  # operator.index(True) is 1
+            return operator.index(n)
     except TypeError:
-        raise ConstraintViolation(f"{name} must be an integer, got {n!r}") from None
+        pass
+    raise ConstraintViolation(f"{name} must be an integer, got {n!r}")
 
 
 @functools.lru_cache(maxsize=128)

@@ -2,31 +2,20 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from bykov import (
     HittingSequence,
     InsufficientData,
-    PerturbationSpec,
-    SectionPoint,
-    SystemParams,
     adjusted_sequence,
     derive_constants,
     generate_hitting_sequence,
     shift_invariance_check,
 )
 from bykov.adjusted import _carry_back
+from reference import LD, P, PP, SEED
 
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-PP = SystemParams(
-    C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-    perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-)
-SEED = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1)))
 D = derive_constants(P)
 
 

@@ -11,8 +11,6 @@ from bykov import (
     ConstraintViolation,
     InsufficientData,
     Observable,
-    PerturbationSpec,
-    SectionPoint,
     SystemParams,
     birkhoff_average,
     derive_constants,
@@ -22,10 +20,7 @@ from bykov import (
 )
 import bykov.params
 from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value
-
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-SEED = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1)))
+from reference import LD, P, SEED, draw_orbit
 INDICATOR = Observable(kind="piecewise_constant", g_sigma1=0.0, g_sigma2=1.0)
 
 # arbitrary-precision references for the running average sampled at the
@@ -55,7 +50,7 @@ def test_observable_validation():
     assert Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0).boundary_value == 0.5
 
 
-def test_observable_value_smooth_interpolates():
+def test_smooth_profile_interpolates_inside_a_cylinder():
     G = Observable(kind="smooth", g_sigma1=2.0, g_sigma2=6.0, m=3.0, g_boundary=5.0)
     # inside V1: max(rho, z) = 0.5, weight 0.5**3
     value = _profile_value(G, G.g_sigma1, LD(np.log(0.5)), LD(np.log(0.25)))
@@ -231,30 +226,12 @@ def _longhand_leg_integral(G, cylinder, entry, leg_len, p):
     return total
 
 
-def _random_smooth_orbit(rng, perturbed):
-    E1, E2 = rng.uniform(0.5, 2.0, size=2)
-    pert = None
-    if perturbed:
-        c1, c2 = rng.uniform(0.0, 0.1, size=2)
-        pert = PerturbationSpec(c1=c1, c2=c2, eps=rng.uniform(0.3, 0.8))
-    p = SystemParams(
-        C1=E1 * rng.uniform(1.2, 3.0), E1=E1, omega1=rng.uniform(0.5, 3.0),
-        C2=E2 * rng.uniform(1.2, 3.0), E2=E2, omega2=rng.uniform(0.5, 3.0),
-        a=rng.uniform(0.1, 0.9), perturbation=pert,
-    )
-    q0 = SectionPoint("Out2", rng.uniform(0.0, 2 * np.pi), np.log(rng.uniform(0.01, 0.5)))
-    g1, g2 = rng.uniform(-1.0, 1.0, size=2)
-    G = Observable("smooth", g1, g2, m=rng.uniform(0.5, 4.0),
-                   g_boundary=g1 + rng.uniform(0.0, 1.0) * (g2 - g1))
-    return q0, p, G
-
-
 @pytest.mark.parametrize("perturbed", [False, True], ids=["idealized", "perturbed"])
 def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
     rng = np.random.default_rng(21 + perturbed)
     n = 24
     for _ in range(10):
-        q0, p, G = _random_smooth_orbit(rng, perturbed)
+        q0, p, G = draw_orbit(rng, perturbed, smooth=True)
         h = generate_hitting_sequence(q0, p, n // 2)
         increments = np.empty(n, dtype=LD)
         for j in range(n):

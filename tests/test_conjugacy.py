@@ -11,21 +11,16 @@ from bykov import (
     InvalidTimes,
     InvariantMismatch,
     SectionPoint,
-    SystemParams,
     adjusted_sequence,
     derive_constants,
     generate_hitting_sequence,
-    matching_params,
     recover_point,
     verify_conjugacy,
 )
+from bykov.acceptance import MATCHED_PARAMS as G
+from bykov.acceptance import MISMATCHED_PARAMS as MISMATCHED
 from bykov.adjusted import AdjustedTimes
-
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-G = matching_params(P, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
-MISMATCHED = SystemParams(C1=4, E1=2, omega1=7 / 3, C2=6.6, E2=3, omega2=1, a=0.25)
-SEED = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1)))
+from reference import LD, P, SEED
 
 
 def _adjusted(p, seed=SEED, n=10):
@@ -48,7 +43,7 @@ def _image(seed, n_pairs):
     return verify_conjugacy(seed, P, G, n_pairs=n_pairs).image_point
 
 
-def test_map_H_matched_image():
+def test_matched_image_has_the_predicted_height_and_radius():
     rec = _image(SEED, 10)
     np.testing.assert_allclose(float(np.exp(rec.z0_log)), 0.01, rtol=1e-10)
     np.testing.assert_allclose(float(np.exp(rec.rho1_log)), 6.25e-6, rtol=1e-10)

@@ -9,9 +9,7 @@ from bykov import (
     HittingSequence,
     InsufficientData,
     NonConvergent,
-    PerturbationSpec,
     SectionPoint,
-    SystemParams,
     corollary_ratios,
     derive_constants,
     estimate_invariants,
@@ -20,14 +18,7 @@ from bykov import (
     perturbation_decay_slope,
 )
 from bykov.acceptance import _richardson_tail
-
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-PP = SystemParams(
-    C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-    perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-)
-SEED = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1)))
+from reference import LD, P, PP, SEED, draw_orbit, same_bits
 
 LOG2 = 0.6931471805599453094172  # -log(a)/E1 for these parameters
 TAU_LOG_A = -1.6173434213065390553
@@ -176,21 +167,6 @@ def test_diagnostics_need_enough_pairs():
         lemma_diagnostics(h, derive_constants(P))
 
 
-def _random_orbit(rng, perturbed):
-    E1, E2 = rng.uniform(0.5, 2.0, size=2)
-    pert = None
-    if perturbed:
-        c1, c2 = rng.uniform(0.0, 0.1, size=2)
-        pert = PerturbationSpec(c1=c1, c2=c2, eps=rng.uniform(0.3, 0.8))
-    p = SystemParams(
-        C1=E1 * rng.uniform(1.2, 3.0), E1=E1, omega1=rng.uniform(0.5, 3.0),
-        C2=E2 * rng.uniform(1.2, 3.0), E2=E2, omega2=rng.uniform(0.5, 3.0),
-        a=rng.uniform(0.1, 0.9), perturbation=pert,
-    )
-    q0 = SectionPoint("Out2", rng.uniform(0.0, 2 * np.pi), np.log(rng.uniform(0.01, 0.5)))
-    return generate_hitting_sequence(q0, p, 12), p
-
-
 def _longhand_ratios(h, p):
     """The four ratio series, one loop at a time."""
     s, u, P = h.sojourns_V1, h.sojourns_V2, h.n_pairs
@@ -244,12 +220,6 @@ def _longhand_decay_slope(h, p):
     return np.polyfit(xs, ys, 1)[0]
 
 
-def _same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
-            and np.array_equal(np.signbit(got), np.signbit(want)))
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -261,12 +231,13 @@ def _outcome(f, *args):
 def test_diagnostics_match_longhand_formulas_bitwise(perturbed):
     rng = np.random.default_rng(31 + perturbed)
     for _ in range(100):
-        h, p = _random_orbit(rng, perturbed)
+        q0, p = draw_orbit(rng, perturbed)
+        h = generate_hitting_sequence(q0, p, 12)
         ratios = corollary_ratios(h, p).ratios
-        assert all(_same_bits(a, b) for a, b in zip(ratios, _longhand_ratios(h, p)))
+        assert all(same_bits(a, b, equal_nan=True) for a, b in zip(ratios, _longhand_ratios(h, p)))
         est = _outcome(estimate_invariants, h)
         want = _outcome(_longhand_estimate, h, p)
-        assert est is want if isinstance(want, type) else _same_bits(est.as_array(), want)
+        assert est is want if isinstance(want, type) else same_bits(est.as_array(), want)
         slope = _outcome(perturbation_decay_slope, h, p)
         want = _outcome(_longhand_decay_slope, h, p)
-        assert slope is want if isinstance(want, type) else _same_bits(np.float64(slope), want)
+        assert slope is want if isinstance(want, type) else same_bits(np.float64(slope), want)

@@ -23,13 +23,7 @@ from bykov import (
     psi21,
 )
 from bykov.flow import _half_transition, _leg_constants, _sojourn_logs
-
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-PP = SystemParams(
-    C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-    perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-)
+from reference import LD, P, PP, half_transition, same_bits
 
 
 def test_section_point_rejects_bad_input():
@@ -100,7 +94,7 @@ def test_psi21_reinjection_algebra():
     # a outside (0, 1) is refused up front, before any log is taken
     q = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=-1.0)
     for a in (1.5, -0.5):
-        bad = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=a)
+        bad = dataclasses.replace(P, a=a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConstraintViolation, match="a must lie strictly between 0 and 1"):
@@ -133,19 +127,12 @@ def test_transit_times_positive_and_monotone():
 
 
 def test_perturbed_phi1_matches_direct_formula():
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-    )
     lnz = LD(np.log(LD("0.05")))
     theta = LD(0.7)
     q = SectionPoint(chart="In1", theta_lifted=float(theta), log_coord=lnz)
-    out, transit = phi1(q, pp)
-
-    d1 = LD(2.0)  # C1/E1
-    radial = LD("0.1") * np.exp(d1 * LD("0.5") * lnz) * np.cos(theta)
-    ln_rho = d1 * lnz + np.log1p(radial)
-    theta_out = theta - lnz + LD("0.1") * np.exp(d1 * LD("1.5") * lnz) * np.sin(theta)
+    out, transit = phi1(q, PP)
+    # E1 = 1, C1/E1 = 2, omega1 = 1, c1 = 0.1, eps = 0.5
+    _, ln_rho, theta_out = half_transition(lnz, theta, LD(1), LD(2), LD(1), LD("0.1"), LD("0.5"))
     np.testing.assert_allclose(float(transit), float(-lnz), rtol=1e-18)
     np.testing.assert_allclose(float(out.log_coord), float(ln_rho), rtol=1e-17)
     np.testing.assert_allclose(float(out.theta_lifted), float(theta_out), rtol=1e-17)
@@ -153,16 +140,12 @@ def test_perturbed_phi1_matches_direct_formula():
 
 def test_poincare_is_the_composition_of_its_legs():
     """poincare = psi21 . phi2 . (Out1 == In2) . phi1, bit for bit."""
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-    )
     q = SectionPoint(chart="In1", theta_lifted=0.7, log_coord=float(np.log(0.05)))
     for _ in range(6):
-        out1, s = phi1(q, pp)
-        out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), pp)
-        expected = psi21(out2, pp)
-        q, sojourn = poincare(q, pp)
+        out1, s = phi1(q, PP)
+        out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), PP)
+        expected = psi21(out2, PP)
+        q, sojourn = poincare(q, PP)
         assert q == expected
         assert sojourn == s + u
 
@@ -181,7 +164,7 @@ def test_iterated_poincare_matches_the_generator_bitwise(params):
             (q.log_coord, np.log(a) + h.log_coord[2 * k]),
             (sojourn, h.sojourns_V1[k - 1] + h.sojourns_V2[k - 1]),
         ):
-            assert got == want and np.signbit(got) == np.signbit(want)
+            assert same_bits(got, want)
 
 
 @pytest.mark.parametrize(
@@ -190,10 +173,7 @@ def test_iterated_poincare_matches_the_generator_bitwise(params):
 def test_poincare_checks_each_exit_crossing(c1, c2, got):
     # the kick throws the named exit crossing off the connection; from
     # Out2 the reinjection would hide it (ln a + 0.18 < 0 on In1)
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=c1, c2=c2, eps=0.5),
-    )
+    pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=c1, c2=c2, eps=0.5))
     q = psi21(SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=float(np.log(0.9))), pp)
     message = "log_coord must be finite and strictly negative (point off the connection), got "
     with pytest.raises(DegenerateInput, match=re.escape(message + got)):
@@ -234,7 +214,7 @@ def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
                 perturbation=PerturbationSpec(c1=c, c2=c, eps=eps),
             )
             for leg in _leg_constants(p)[:2]:
-                expand, sad, twist, c_ld, eps_ld, cut = leg
+                _, sad, _, c_ld, eps_ld, cut = leg
                 assert sad == LD(saddle) and -np.inf < cut < 0.0
 
                 def amplitude(log_in):
@@ -248,17 +228,9 @@ def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
                 for log_in in (cut, np.nextafter(cut, LD(-np.inf))) + above:
                     assert amplitude(log_in) == 0.0
                     for theta_in in (LD(0.7), LD(2.5), LD(-0.0), LD(-4.0)):
-                        transit = -log_in / expand
-                        want = (
-                            transit,
-                            sad * log_in + np.log1p(
-                                c_ld * np.exp(sad * eps_ld * log_in) * np.cos(theta_in)),
-                            theta_in + twist * transit
-                            + c_ld * np.exp(sad * (LD(1.0) + eps_ld) * log_in) * np.sin(theta_in),
-                        )
+                        want = half_transition(log_in, theta_in, *leg[:5])
                         got = _half_transition(log_in, theta_in, *leg)
-                        for g, w in zip(got, want):
-                            assert g == w and np.signbit(g) == np.signbit(w)
+                        assert same_bits(got, want)
             # the same cut-off where longdouble is float64 is conservative too
             cut64 = (np.log(tiny64) - 2.0) / (saddle * eps)
             for log_in in (cut64, np.nextafter(cut64, -np.inf)):
@@ -274,10 +246,7 @@ def test_an_unperturbed_leg_has_no_cut_off():
 
 def test_perturbation_cannot_push_through_axis():
     # a correction of relative size < -1 would mean a negative radius
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5),
-    )
+    pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5))
     q = SectionPoint(chart="In1", theta_lifted=float(np.pi), log_coord=float(np.log(0.45)))
     with pytest.raises(DegenerateInput, match="radius"):
         phi1(q, pp)
@@ -287,7 +256,7 @@ def test_perturbation_cannot_push_through_axis():
 V1_RATES = (LD(P.E1), LD(P.C1))
 
 
-def test_section_state_and_flow_endpoints():
+def test_sojourn_logs_start_on_the_wall_and_end_on_the_lid():
     z_log = LD(np.log(0.05))
     _, rho, z = _sojourn_logs(0.0, "V1", LD(0.0), z_log, *V1_RATES)
     np.testing.assert_array_equal([float(rho[0]), float(z[0])], [0.0, float(z_log)])
@@ -305,7 +274,7 @@ def test_section_state_and_flow_endpoints():
     assert _sojourn_logs(t_exit2, "V2", rho_log, LD(0.0), *rates)[1][0] == 0.0  # snapped
 
 
-def test_flow_at_takes_a_float64_exit_time_rounded_up():
+def test_sojourn_logs_take_a_float64_exit_time_rounded_up():
     # a long sojourn: its float64 exit time may lie above the long-double one
     z_log = LD("-18922045849271.07")
     t_exit = -z_log / LD(P.E1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,18 +18,17 @@ from bykov import (
     SectionPoint,
     SystemParams,
     generate_hitting_sequence,
-    phi1,
-    poincare,
-    psi21,
     sojourn_fractions,
 )
 import bykov.flow
 import bykov.hitting
 import bykov.params
 from bykov.acceptance import ideal_closed_form_times
+from reference import LD, P, PP, half_transition, iterated_poincare, same_bits
 
-LD = np.longdouble
-P = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+# not the canonical seed: ln 0.1 taken in long double and rounded to
+# float64 is -0x1.26bb1bbb55516p+1, one float64 ulp below the canonical
+# -0x1.26bb1bbb55515p+1, and REFERENCE_TIMES were computed from it
 SEED = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(LD("0.1"))))
 
 # 50-digit arbitrary-precision recursion, truncated to longdouble width.
@@ -128,11 +128,7 @@ def test_sojourn_fractions_partition_and_limit():
 
 
 def test_perturbed_times_reference():
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=0.1, c2=0.1, eps=0.5),
-    )
-    h = generate_hitting_sequence(SEED, pp, 2)
+    h = generate_hitting_sequence(SEED, PP, 2)
     ref = [
         LD("2.995732273553990993435"),   # first crossing is perturbation-free
         LD("6.991430572904388315115"),
@@ -150,10 +146,7 @@ def test_perturbed_times_reference():
 
 def test_perturbed_first_crossing_equals_idealized():
     # the radial kick acts on the exit data, never on the first passage time
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=0.4, c2=0.4, eps=0.3),
-    )
+    pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=0.4, c2=0.4, eps=0.3))
     hi = generate_hitting_sequence(SEED, P, 1)
     hp = generate_hitting_sequence(SEED, pp, 1)
     assert float(hi.times[1]) == float(hp.times[1])
@@ -176,10 +169,7 @@ def test_constants_derived_once_per_orbit(monkeypatch):
 def test_each_crossing_is_checked_as_it_is_produced():
     # the first radial kick throws the Out1 crossing off the connection
     # (log radius +0.108); stepping on from it would hide that
-    pp = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(c1=10, c2=0, eps=0.5),
-    )
+    pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=10, c2=0, eps=0.5))
     seed = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=float(np.log(0.9)))
     with pytest.raises(DegenerateInput, match="strictly negative"):
         generate_hitting_sequence(seed, pp, 3)
@@ -188,12 +178,9 @@ def test_each_crossing_is_checked_as_it_is_produced():
 def _longhand_perturbed_orbit(q0, p, n_pairs):
     """The perturbed generator written out longhand, one crossing at a time.
 
-    It always evaluates the ``exp``/``cos``/``log1p``/``sin`` corrections,
-    also once their amplitude has underflowed to 0, and counts those
-    crossings.  Same IEEE operations in the same order as the model's
-    half-transition: transit ``-ln_in/E``, exit log ``saddle*ln_in +
-    log1p(c*exp(saddle*eps*ln_in)*cos(th_in))``, exit angle ``th_in +
-    omega*transit + c*exp(saddle*(1+eps)*ln_in)*sin(th_in)``.
+    Each crossing is the longhand ``half_transition``, which always
+    evaluates the corrections; the crossings whose amplitude has
+    underflowed to 0 are counted.
     """
     q = p.perturbation
     a, eps = LD(p.a), LD(q.eps)
@@ -207,11 +194,8 @@ def _longhand_perturbed_orbit(q0, p, n_pairs):
             (E, saddle, omega, c), ln_in, th_in = v1, log_a + lc, th / a
         else:
             (E, saddle, omega, c), ln_in, th_in = v2, lc, th
-        transit = -ln_in / E
-        amplitude = c * np.exp(saddle * eps * ln_in)
-        underflowed += amplitude == 0.0
-        lc = saddle * ln_in + np.log1p(amplitude * np.cos(th_in))
-        th = th_in + omega * transit + c * np.exp(saddle * (LD(1.0) + eps) * ln_in) * np.sin(th_in)
+        underflowed += c * np.exp(saddle * eps * ln_in) == 0.0
+        transit, lc, th = half_transition(ln_in, th_in, E, saddle, omega, c, eps)
         t = t + transit
         times.append(t), theta.append(th), log_coord.append(lc)
     return [np.array(x, dtype=LD) for x in (times, theta, log_coord)], underflowed
@@ -237,10 +221,8 @@ def test_underflowed_corrections_are_skipped_bitwise():
         expected, underflowed = _longhand_perturbed_orbit(seed, p, 60)
         # both branches of the kernel are taken on every orbit
         assert 0 < underflowed < 2 * 60 + 1
-        # not tobytes(): a 16-byte longdouble carries uninitialized padding
         for got, want in zip((h.times, h.theta, h.log_coord), expected):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert same_bits(got, want)
 
 
 def _outcome(run):
@@ -257,21 +239,6 @@ def _outcome(run):
             return "refused", type(e).__name__, str(e)
     assert not seen, [str(w.message) for w in seen]
     return "ok", value
-
-
-def _iterated_poincare(q0, p, n_pairs):
-    """``n_pairs`` return steps from the reinjected seed, then the closing ``phi1``."""
-    q, steps = psi21(q0, p), []
-    for _ in range(n_pairs):
-        q, t = poincare(q, p)
-        steps.append((q.theta_lifted, q.log_coord, t))
-    out1, s = phi1(q, p)
-    return steps, (out1.theta_lifted, out1.log_coord, s)
-
-
-def _same_bits(got, want):
-    got, want = np.asarray(got, dtype=LD), np.asarray(want, dtype=LD)
-    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 _delta = st.floats(1.0, 4.0, exclude_min=True)
@@ -302,24 +269,23 @@ def test_perturbed_orbits_match_the_longhand_or_refuse_alike(
     seed = SectionPoint("Out2", theta0, float(np.log(z0)))
     n = 60
     gen = _outcome(lambda: generate_hitting_sequence(seed, p, n))
-    ret = _outcome(lambda: _iterated_poincare(seed, p, n))
+    ret = _outcome(lambda: iterated_poincare(seed, p, n))
     if gen[0] == "refused" or ret[0] == "refused":
         assert gen == ret
         return
     (times, theta, log_coord), _ = _longhand_perturbed_orbit(seed, p, n)
     h = gen[1]
     for got, want in zip((h.times, h.theta, h.log_coord), (times, theta, log_coord)):
-        assert _same_bits(got, want)
+        assert same_bits(got, want)
     # the return map: In1 points and return times, from the longhand crossings
     a_ld = LD(a)
     log_a = np.log(a_ld)
-    steps, closing = ret[1]
+    got, closing = ret[1]
     k = np.arange(1, n + 1)
     s = -(log_a + log_coord[2 * k - 2]) / LD(E1)
     u = -log_coord[2 * k - 1] / LD(E2)
-    got = np.array(steps, dtype=LD)
-    assert _same_bits(got[:, 0], theta[2 * k] / a_ld)
-    assert _same_bits(got[:, 1], log_a + log_coord[2 * k])
-    assert _same_bits(got[:, 2], s + u)
+    assert same_bits(got[:, 0], theta[2 * k] / a_ld)
+    assert same_bits(got[:, 1], log_a + log_coord[2 * k])
+    assert same_bits(got[:, 2], s + u)
     last = -(log_a + log_coord[2 * n]) / LD(E1)
-    assert _same_bits(closing, [theta[2 * n + 1], log_coord[2 * n + 1], last])
+    assert same_bits(closing, [theta[2 * n + 1], log_coord[2 * n + 1], last])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,14 +27,12 @@ from bykov import (
     verify_conjugacy,
 )
 import bykov.flow
-from bykov._num import LD
-from bykov.acceptance import MATCHED_PARAMS, SEED
-
-CANONICAL = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+from bykov.acceptance import MATCHED_PARAMS
+from reference import LD, P, PP, SEED
 
 
 def test_derived_constants_canonical():
-    d = derive_constants(CANONICAL)
+    d = derive_constants(P)
     np.testing.assert_allclose(float(d.gamma1), 4 / 3, rtol=1e-18)
     np.testing.assert_allclose(float(d.gamma2), 3.0, rtol=1e-18)
     np.testing.assert_allclose(float(d.delta1), 2.0, rtol=1e-18)
@@ -50,8 +49,8 @@ def test_derived_constants_canonical():
 
 
 def test_invariant_tuple_components():
-    inv = invariant_tuple(CANONICAL)
-    d = derive_constants(CANONICAL)
+    inv = invariant_tuple(P)
+    d = derive_constants(P)
     np.testing.assert_array_equal(inv.as_array(), d.invariants.as_array())
     np.testing.assert_allclose(float(inv.omega_combo), 1 + (4 / 3) * 2, rtol=1e-15)
 
@@ -67,14 +66,14 @@ def test_symmetric_parameters():
 
 def test_weak_reinjection_offset():
     # a close to 1 makes the timing offset nearly vanish but stay negative
-    p = SystemParams(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.999)
+    p = dataclasses.replace(P, a=0.999)
     inv = invariant_tuple(p)
     np.testing.assert_allclose(float(inv.tau_log_a), (7 / 3) * math.log(0.999), rtol=1e-15)
     np.testing.assert_allclose(float(inv.tau_log_a), -0.002334, atol=1e-6)
 
 
 def test_validate_returns_the_params():
-    assert validate_params(CANONICAL) is CANONICAL
+    assert validate_params(P) is P
 
 
 def test_validate_rejects_each_inequality():
@@ -88,14 +87,13 @@ def test_validate_rejects_each_inequality():
         dict(a=1.0),
         dict(a=1.2),
     ]
-    base = dict(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
     for override in bad:
         with pytest.raises(ConstraintViolation):
-            validate_params(SystemParams(**{**base, **override}))
+            validate_params(dataclasses.replace(P, **override))
 
 
 def test_validate_collects_all_problems_at_once():
-    p = SystemParams(C1=0.5, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=1.2)
+    p = dataclasses.replace(P, C1=0.5, a=1.2)
     with pytest.raises(ConstraintViolation) as err:
         validate_params(p)
     msg = str(err.value)
@@ -103,13 +101,12 @@ def test_validate_collects_all_problems_at_once():
 
 
 def test_validate_perturbation_fields():
-    base = dict(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
     with pytest.raises(ConstraintViolation, match="eps"):
-        validate_params(SystemParams(**base, perturbation=PerturbationSpec(0.1, 0.1, 1.5)))
+        validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(0.1, 0.1, 1.5)))
     with pytest.raises(ConstraintViolation, match="c1"):
-        validate_params(SystemParams(**base, perturbation=PerturbationSpec(-0.1, 0.1, 0.5)))
+        validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(-0.1, 0.1, 0.5)))
     # zero strengths are the idealized model and are fine
-    validate_params(SystemParams(**base, perturbation=PerturbationSpec(0.0, 0.0, 0.5)))
+    validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(0.0, 0.0, 0.5)))
 
 
 def test_rate_scaling_covariance():
@@ -146,7 +143,7 @@ def _random_valid_params(rng: np.random.Generator) -> SystemParams:
 
 
 def test_matching_params_canonical():
-    g = matching_params(CANONICAL, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
+    g = matching_params(P, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
     assert (g.C1, g.E1, g.C2, g.E2, g.omega2) == (4.0, 2.0, 6.0, 3.0, 1.0)
     np.testing.assert_allclose(g.omega1, 7 / 3, rtol=1e-15)
     np.testing.assert_allclose(g.a, 0.25, rtol=1e-15)
@@ -178,20 +175,16 @@ def test_matching_params_shares_invariants_randomized():
 def test_matching_params_rejects_out_of_domain_rates():
     # E2_bar/E1_bar above gamma2 would need C2_bar <= E2_bar
     with pytest.raises(ConstraintViolation, match="C2"):
-        matching_params(CANONICAL, E1_bar=1.0, E2_bar=4.0, omega2_bar=0.5)
+        matching_params(P, E1_bar=1.0, E2_bar=4.0, omega2_bar=0.5)
 
 
 def test_matching_params_rejects_overspent_twist():
     with pytest.raises(ConstraintViolation, match="omega1"):
-        matching_params(CANONICAL, E1_bar=1.0, E2_bar=1.0, omega2_bar=50.0)
+        matching_params(P, E1_bar=1.0, E2_bar=1.0, omega2_bar=50.0)
 
 
 def test_matching_params_drops_perturbation():
-    p = SystemParams(
-        C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5,
-        perturbation=PerturbationSpec(0.1, 0.1, 0.5),
-    )
-    g = matching_params(p, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
+    g = matching_params(PP, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
     assert g.perturbation is None
 
 
@@ -201,9 +194,9 @@ def test_derived_constants_are_memoized_per_parameter_set():
     assert bykov.flow._leg_constants.cache_info().maxsize is not None
     derive_constants.cache_clear()
     twin = SystemParams(C1=2.0, E1=1.0, omega1=1.0, C2=3.0, E2=1.5, omega2=2.0, a=0.5)
-    assert derive_constants(twin) is derive_constants(CANONICAL)
+    assert derive_constants(twin) is derive_constants(P)
     assert info().currsize == 1
-    bad = SystemParams(C1=0.5, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
+    bad = dataclasses.replace(P, C1=0.5)
     rates = bykov.flow._leg_constants.cache_info().currsize
     q = SectionPoint(chart="In1", theta_lifted=0.0, log_coord=-1.0)
     for _ in range(2):
@@ -217,10 +210,9 @@ def test_derived_constants_are_memoized_per_parameter_set():
 
 @pytest.mark.parametrize("field", ["C1", "C2", "omega1", "omega2", "c1", "c2"])
 def test_validate_rejects_infinite_rates(field):
-    base = dict(C1=2, E1=1, omega1=1, C2=3, E2=1.5, omega2=2, a=0.5)
-    pert = dict(c1=0.1, c2=0.1, eps=0.5)
+    base, pert = dataclasses.asdict(PP), dataclasses.asdict(PP.perturbation)
     (pert if field in pert else base)[field] = math.inf
-    p = SystemParams(**base, perturbation=PerturbationSpec(**pert))
+    p = SystemParams(**{**base, "perturbation": PerturbationSpec(**pert)})
     # an infinite rate passes every ordering check; unchecked it gives
     # gamma1 = inf, or a misleading "radius correction" error in the generator
     message = rf"^(perturbation\.)?{field} must be finite, got inf$"
@@ -229,26 +221,27 @@ def test_validate_rejects_infinite_rates(field):
             check(p)
 
 
-H8 = generate_hitting_sequence(SEED, CANONICAL, 8)
+H8 = generate_hitting_sequence(SEED, P, 8)
 
 
 @pytest.mark.parametrize(
     "name, value, call",
     [
-        ("n_pairs", 2.0, lambda v: generate_hitting_sequence(SEED, CANONICAL, v)),
+        ("n_pairs", 2.0, lambda v: generate_hitting_sequence(SEED, P, v)),
         ("upto_index", 4.0, lambda v: birkhoff_average(
-            SEED, CANONICAL, Observable("piecewise_constant", 0.0, 1.0), v)),
-        ("n", 2.5, lambda v: adjusted_sequence(H8, derive_constants(CANONICAL), v)),
-        ("N", 1.5, lambda v: shift_invariance_check(H8, derive_constants(CANONICAL), v)),
+            SEED, P, Observable("piecewise_constant", 0.0, 1.0), v)),
+        ("n", 2.5, lambda v: adjusted_sequence(H8, derive_constants(P), v)),
+        ("N", 1.5, lambda v: shift_invariance_check(H8, derive_constants(P), v)),
         ("upto_index", 2.0, lambda v: sojourn_fractions(H8, v)),
-        ("n_pairs", 12.0, lambda v: verify_conjugacy(SEED, CANONICAL, MATCHED_PARAMS, n_pairs=v)),
+        ("n_pairs", 12.0, lambda v: verify_conjugacy(SEED, P, MATCHED_PARAMS, n_pairs=v)),
     ],
     ids=["generate_hitting_sequence", "birkhoff_average", "adjusted_sequence",
          "shift_invariance_check", "sojourn_fractions", "verify_conjugacy"],
 )
 def test_non_integral_counts_are_refused(name, value, call):
-    # a float count used to end in numpy's bare TypeError from np.empty or a slice
-    for bad in (value, np.float64(value), "3"):
+    # a float count used to end in numpy's bare TypeError from np.empty or a
+    # slice; a bool passed operator.index, and sojourn_fractions read it as a mask
+    for bad in (value, np.float64(value), "3", True):
         with pytest.raises(ConstraintViolation, match=rf"^{name} must be an integer, got "):
             call(bad)
     # Python and NumPy integers are counts

@@ -8,10 +8,9 @@ through the exact recursion,
     chain step:  previous = (value + tau*ln(a)) / delta,
 
 produces a family of candidate zeroth durations whose successive
-differences shrink geometrically (all loops are carried back together,
-each rounded step by step as a scalar chain would be); its limit ``T0``
-seeds an exactly recursive duration sequence ``T_seq`` and from it two
-adjusted time grids:
+differences shrink geometrically; its limit ``T0`` seeds an exactly
+recursive duration sequence ``T_seq`` and from it two adjusted time
+grids:
 
 * zero-anchored (``t_even_zero[0] = 0``): the normalized representative
   that coordinate recovery consumes;
@@ -27,6 +26,16 @@ Odd adjusted times interpolate each even gap in the ratio set by the
 first saddle index: ``t_odd[i] = (t_even[i+1] + gamma1*t_even[i]) /
 (1 + gamma1)``, making every adjusted-leg identity exact by
 construction.
+
+The family is that of ``i`` scalar chain steps from ``T[i]``, bit for
+bit.  Carrying every chain is ``n**2/2`` steps, but the chains merge:
+the step is one fixed function of one long double, so once chain ``i``
+lands on the value chain ``i-1`` holds at the same distance from index
+0, the two stay equal and element ``i`` is a copy of element ``i-1``.
+Equality, not closeness, decides a merge, so copying keeps every bit.
+On 1000-loop orbits about 70% of the chains have merged within 17
+steps, and the carry takes about 0.3 of the ``n**2/2`` steps (see
+:func:`_carry_back`).
 """
 
 from __future__ import annotations
@@ -72,15 +81,54 @@ class AdjustedTimes:
     residual_tail_bound: float
 
 
-def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
-    """Carry each ``T[i]`` back ``i`` chain steps, all elements at once.
+# passes over every chain before the merge test (see _carry_back)
+_HEAD_PASSES = 16
 
-    Pass ``j`` applies the chain step to ``family[j:]``, so element ``i``
-    takes exactly ``i`` steps in the order a scalar chain takes them.
+
+def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
+    """Carry each ``T[i]`` back ``i`` chain steps, copying chains that merge.
+
+    Pass ``j`` applies the chain step ``B(x) = (x + tau*ln a) / delta``
+    to every chain ``i >= j``, in place, so element ``i`` takes exactly
+    ``i`` steps in the order a scalar chain takes them.  After pass ``j``
+    chain ``i`` sits ``i - j`` steps from index 0 and chain ``i-1`` one
+    step closer.  If pass ``j+1`` takes chain ``i`` to the value chain
+    ``i-1`` holds after pass ``j``, the two meet at the same distance and
+    take the same rounded steps from there: ``family[i] == family[i-1]``.
+
+    The first ``_HEAD_PASSES`` passes run over every chain and finish the
+    chains up to that index.  The next pass is compared with the last of
+    them, which finds every merge made by then.  Later passes run over the
+    chains that own their value, and one gather copies each owner's value
+    to the chains that merged into it.  On the 64 ``long_orbit`` orbits of the benchmark a
+    test at pass 1 leaves about half of the chains to carry, and the test
+    at pass 17 about 0.3.  The constants are 0-d arrays, which NumPy
+    takes faster than long-double scalars.
     """
+    c, delta = np.array(d.invariants.tau_log_a), np.array(d.delta)
     family = np.array(T, dtype=LD)
-    for j in range(1, len(family)):
-        family[j:] = (family[j:] + d.invariants.tau_log_a) / d.delta
+    for j in range(1, min(_HEAD_PASSES + 1, len(family))):
+        tail = family[j:]
+        tail += c
+        tail /= delta
+    if len(family) <= _HEAD_PASSES + 1:  # every chain is finished
+        return family
+    rest = family[_HEAD_PASSES:]  # chain _HEAD_PASSES + r is r steps from index 0
+    step = rest[1:] + c
+    step /= delta
+    own = np.ones(len(rest), dtype=bool)
+    own[1:] = step != rest[:-1]
+    rest[1:] = step
+    owners = own.nonzero()[0]
+    v = rest[owners]
+    done = 1
+    for m, r in enumerate(owners[1:].tolist(), 1):
+        tail = v[m:]  # every owner from r on takes r - done more steps
+        for _ in range(r - done):
+            tail += c
+            tail /= delta
+        done = r
+    rest[1:] = v[own[1:].cumsum()]
     return family
 
 
@@ -123,11 +171,11 @@ def adjusted_sequence(
     family = _carry_back(T, d)
     T0, tail_bound = _extract_limit(family)
 
-    horizon = max(n, len(T))
-    T_seq_full = np.empty(horizon, dtype=LD)
-    T_seq_full[0] = T0
-    for i in range(1, horizon):
-        T_seq_full[i] = d.delta * T_seq_full[i - 1] - d.invariants.tau_log_a
+    delta, tau_log_a = d.delta, d.invariants.tau_log_a
+    seq = [T0]
+    for _ in range(1, max(n, len(T))):
+        seq.append(delta * seq[-1] - tau_log_a)
+    T_seq_full = np.array(seq, dtype=LD)
     offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)
 
     t_even_zero = np.empty(n + 1, dtype=LD)

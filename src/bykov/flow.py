@@ -71,8 +71,11 @@ class SectionPoint:
             raise DegenerateInput(
                 f"unknown chart {self.chart!r}; expected one of {_CHARTS}"
             )
-        object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
-        object.__setattr__(self, "log_coord", asld(self.log_coord))
+        # poincare builds one point per step from long doubles, kept as they are
+        if not isinstance(self.theta_lifted, LD):
+            object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
+        if not isinstance(self.log_coord, LD):
+            object.__setattr__(self, "log_coord", asld(self.log_coord))
         _check_crossing(self.theta_lifted, self.log_coord)
 
     @property
@@ -94,15 +97,22 @@ def _check_state(rho_log, z_log) -> None:
     )
 
 
+# long-double bounds for the per-crossing checks: a comparison with a
+# long double of its own type takes half the time of one with ``-np.inf``
+# (a global lookup, a negation and a mixed-type comparison) or ``0.0``
+_NEG_INF, _INF, _ZERO, _ONE = LD(-np.inf), LD(np.inf), LD(0.0), LD(1.0)
+
+
 def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:
     """The section-point checks, on raw values (see :class:`SectionPoint`).
 
-    Comparisons, not ``np.isfinite``, which costs far more on a long-double scalar.
+    Comparisons, not ``np.isfinite``, which costs far more on a long-double
+    scalar: they run once per crossing, and three times per ``poincare`` step.
     """
-    if not (-np.inf < theta_lifted < np.inf):
+    if not (_NEG_INF < theta_lifted < _INF):
         raise DegenerateInput(f"theta_lifted is not finite: {theta_lifted}")
-    if not (-np.inf < log_coord < 0.0):
-        note = "; the log-coordinate left the long-double range" if log_coord == -np.inf else ""
+    if not (_NEG_INF < log_coord < _ZERO):
+        note = "; the log-coordinate left the long-double range" if log_coord == _NEG_INF else ""
         raise DegenerateInput(
             "log_coord must be finite and strictly negative "
             f"(point off the connection), got {log_coord}{note}"
@@ -183,7 +193,7 @@ def _half_transition(
     if log_in < cut:
         return transit, log_out, theta_out
     radial = c * np.exp(saddle * eps * log_in) * np.cos(theta_in)
-    if not (LD(1.0) + radial > 0.0):
+    if not (_ONE + radial > _ZERO):
         # an angle that overflowed on reinjection makes radial NaN: say so
         _check_crossing(theta_in, log_in)
         raise DegenerateInput(
@@ -191,7 +201,7 @@ def _half_transition(
             f"1 + {float(radial)} <= 0"
         )
     log_out = log_out + np.log1p(radial)
-    theta_out = theta_out + c * np.exp(saddle * (LD(1.0) + eps) * log_in) * np.sin(theta_in)
+    theta_out = theta_out + c * np.exp(saddle * (_ONE + eps) * log_in) * np.sin(theta_in)
     return transit, log_out, theta_out
 
 

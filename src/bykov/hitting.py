@@ -67,19 +67,22 @@ def generate_hitting_sequence(
     legs = np.empty(n - 1, dtype=LD)
     th, lc = q0.theta_lifted, q0.log_coord
     theta[0], log_coord[0] = th, lc
-    for k in range(1, n):
-        if k % 2:  # reinjection psi21 onto In1, then the V1 sojourn to Out1
-            legs[k - 1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
-        else:  # Out1 is glued to In2; the V2 sojourn to Out2
-            legs[k - 1], lc, th = _half_transition(lc, th, *leg2)
-        # the In1 point in between needs no check of its own: its log height
-        # is log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
-        _check_crossing(th, lc)
-        theta[k], log_coord[k] = th, lc
-
     times = np.zeros(n, dtype=LD)
-    np.cumsum(legs, out=times[1:])
-    if not np.all(np.diff(times) > 0):
+    # a value that overflows is refused by the checks below as DegenerateInput,
+    # not by NumPy's warning, which a caller's filter may turn into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            if k % 2:  # reinjection psi21 onto In1, then the V1 sojourn to Out1
+                legs[k - 1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
+            else:  # Out1 is glued to In2; the V2 sojourn to Out2
+                legs[k - 1], lc, th = _half_transition(lc, th, *leg2)
+            # the In1 point in between needs no check of its own: its log height
+            # is log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
+            _check_crossing(th, lc)
+            theta[k], log_coord[k] = th, lc
+        np.cumsum(legs, out=times[1:])
+        increasing = np.all(np.diff(times) > 0)
+    if not increasing:
         raise DegenerateInput("hitting times failed to increase strictly")
     return HittingSequence(
         times=times,

@@ -2,8 +2,8 @@
 
 The canonical systems and seed are those of ``bykov.acceptance``.
 ``same_bits`` compares value bytes, ``draw_orbit`` draws the random
-orbits of the bitwise tests, and ``half_transition`` and
-``iterated_poincare`` write the model out longhand.  ``python
+orbits of the bitwise tests, and ``half_transition``, ``longhand_chain``
+and ``iterated_poincare`` write the model out longhand.  ``python
 tests/reference.py`` prints ``digest()``, one line per output, for the
 ``bykov`` on ``PYTHONPATH`` (this repo's ``src`` when none is given).
 """
@@ -92,6 +92,13 @@ def half_transition(log_in, theta_in, expand, saddle, twist, c, eps):
     theta_out = (theta_in + twist * transit
                  + c * np.exp(saddle * (LD(1.0) + eps) * log_in) * np.sin(theta_in))
     return transit, log_out, theta_out
+
+
+def longhand_chain(value, steps: int, d):
+    """``value`` carried back ``steps`` adjusted-time chain steps, one scalar at a time."""
+    for _ in range(steps):
+        value = (value + d.invariants.tau_log_a) / d.delta
+    return value
 
 
 def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bykov import (
     HittingSequence,
     InsufficientData,
+    PerturbationSpec,
+    SectionPoint,
+    SystemParams,
     adjusted_sequence,
     derive_constants,
     generate_hitting_sequence,
     shift_invariance_check,
 )
 from bykov.adjusted import _carry_back
-from reference import LD, P, PP, SEED
+from reference import LD, P, PP, SEED, longhand_chain, same_bits
 
 D = derive_constants(P)
 
@@ -31,13 +38,6 @@ def perturbed():
     return h, adjusted_sequence(h, derive_constants(PP))
 
 
-def _scalar_chain(value, steps, d):
-    """The chain step written out longhand, one scalar at a time."""
-    for _ in range(steps):
-        value = (value + d.invariants.tau_log_a) / d.delta
-    return value
-
-
 def test_backward_chain_step():
     # one pull-back of the second loop duration lands on the first
     T1 = LD("29.57751130781045499404")  # t4 - t2
@@ -47,23 +47,82 @@ def test_backward_chain_step():
     np.testing.assert_allclose(family[1], LD("6.990041971625978984682"), rtol=1e-17)
 
 
+def _assert_carry_is_longhand(h, d, N):
+    """``T0_family``, ``T_seq`` and ``shift_invariance_check(h, d, N)`` bitwise against longhand.
+
+    Chain ``i`` is carried ``i - N`` steps for the check at ``N``, then
+    ``N`` more for the family: the same steps as in one chain.
+    """
+    T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
+    family_N = [longhand_chain(T[i], i - N, d) for i in range(N, len(T))]
+    family = [longhand_chain(T[i], i, d) for i in range(N)]
+    family += [longhand_chain(x, N, d) for x in family_N]
+    adj = adjusted_sequence(h, d)
+    assert same_bits(adj.T0_family, np.array(family, dtype=LD))
+    T_seq = [family[-1]]  # T0 is the family's last element
+    for _ in range(1, len(T)):
+        T_seq.append(d.delta * T_seq[-1] - d.invariants.tau_log_a)
+    assert same_bits(adj.T_seq, np.array(T_seq, dtype=LD))
+    if N < h.n_pairs - 2:
+        expected = float(np.max(np.abs(np.array(family_N, dtype=LD) - T_seq[N])))
+        assert same_bits(shift_invariance_check(h, d, N), expected)
+
+
 @pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
 def test_family_matches_longhand_chain_bitwise(params):
-    d = derive_constants(params)
     h = generate_hitting_sequence(SEED, params, 200)
-    T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
-    reference = np.array([_scalar_chain(T[i], i, d) for i in range(len(T))], dtype=LD)
-    adj = adjusted_sequence(h, d)
-    assert np.array_equal(adj.T0_family, reference)
     for N in range(4):
-        target = adj.T0
-        for _ in range(N):
-            target = d.delta * target - d.invariants.tau_log_a
-        family_N = np.array(
-            [_scalar_chain(T[i], i - N, d) for i in range(N, len(T))], dtype=LD
-        )
-        expected = float(np.max(np.abs(family_N - target)))
-        assert shift_invariance_check(h, d, N) == expected
+        _assert_carry_is_longhand(h, derive_constants(params), N)
+
+
+# saddle indices near 1 keep chains apart for many steps; larger ones merge them early
+_index = st.one_of(st.floats(1.0, 1.0 + 1e-6, exclude_min=True), st.floats(1.0, 4.0, exclude_min=True))
+_rate = st.floats(0.25, 4.0)
+
+
+@given(
+    E1=_rate, E2=_rate, d1=_index, d2=_index, w1=st.floats(0.1, 5.0), w2=st.floats(0.1, 5.0),
+    a=st.floats(0.01, 0.99), perturbed=st.booleans(), c1=st.floats(0.0, 0.1),
+    c2=st.floats(0.0, 0.1), eps=st.floats(0.3, 0.8), theta0=st.floats(0.0, 6.3),
+    z0=st.floats(0.01, 0.5), n=st.integers(2, 300), N=st.integers(0, 300),
+)
+def test_merged_carry_is_the_longhand_chain(E1, E2, d1, d2, w1, w2, a, perturbed, c1, c2, eps,
+                                            theta0, z0, n, N):
+    C1, C2 = E1 * d1, E2 * d2
+    assume(C1 > E1 and C2 > E2)
+    pert = PerturbationSpec(c1=c1, c2=c2, eps=eps) if perturbed else None
+    p = SystemParams(C1=C1, E1=E1, omega1=w1, C2=C2, E2=E2, omega2=w2, a=a, perturbation=pert)
+    h = generate_hitting_sequence(SectionPoint("Out2", theta0, float(np.log(z0))), p, n)
+    _assert_carry_is_longhand(h, derive_constants(p), min(N, n - 1))
+
+
+def _with_durations(T):
+    """A sequence whose loop durations are ``T``: ``s = T``, ``u = 0``."""
+    s = np.append(T, LD(1.0))
+    zeros = np.zeros(len(T), dtype=LD)
+    times = np.zeros(2 * len(T) + 2, dtype=LD)
+    return HittingSequence(times=times, theta=times, log_coord=times,
+                           sojourns_V1=s, sojourns_V2=zeros, n_pairs=len(T))
+
+
+def test_a_family_in_which_every_chain_merges():
+    # T[i-1] = B(T[i]), built backwards: each chain lands on its neighbour
+    # at the first step, and the family is T[0] throughout
+    T = [LD("1e40")]
+    for _ in range(299):
+        T.append(longhand_chain(T[-1], 1, D))
+    T = np.array(T[::-1], dtype=LD)
+    h = _with_durations(T)
+    assert same_bits(adjusted_sequence(h, D).T0_family, np.full(300, T[0]))
+    _assert_carry_is_longhand(h, D, 20)
+
+
+def test_a_family_in_which_no_chain_merges():
+    # random durations and a saddle index near 1: every chain keeps its value
+    d = derive_constants(dataclasses.replace(P, C1=P.E1 * (1 + 2**-20), C2=P.E2 * (1 + 2**-20)))
+    h = _with_durations(np.random.default_rng(12).uniform(1.0, 2.0, 300).astype(LD))
+    assert len(np.unique(adjusted_sequence(h, d).T0_family)) == 300
+    _assert_carry_is_longhand(h, d, 20)
 
 
 def test_family_is_constant_without_perturbation(ideal):

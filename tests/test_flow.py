@@ -22,6 +22,7 @@ from bykov import (
     poincare,
     psi21,
 )
+from bykov._num import asld
 from bykov.flow import _half_transition, _leg_constants, _sojourn_logs
 from reference import LD, P, PP, half_transition, same_bits
 
@@ -45,6 +46,21 @@ def test_section_point_rejects_bad_input():
         )
         with pytest.raises(DegenerateInput, match=re.escape(message)):
             SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=bad)
+
+
+@pytest.mark.parametrize(
+    "theta, log",
+    [(3, -2), (0.1, -0.1), (np.float64(0.1), np.float64(-0.1)),
+     (np.float32(0.1), np.float32(-0.1)), ("0.1", "-0.1"), (LD("0.1"), LD("-0.1"))],
+    ids=["int", "float", "float64", "float32", "str", "longdouble"],
+)
+def test_section_point_fields_are_long_doubles(theta, log):
+    # a long double is kept as it is, anything else goes through asld
+    q = SectionPoint(chart="In1", theta_lifted=theta, log_coord=log)
+    for got, given in ((q.theta_lifted, theta), (q.log_coord, log)):
+        assert type(got) is np.longdouble
+        assert same_bits(got, asld(given))
+        assert (got is given) == isinstance(given, LD)
 
 
 def test_theta_reduction():
@@ -186,7 +202,8 @@ def test_a_log_coordinate_past_the_long_double_range_says_so():
     p = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5)
     seed = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=-1.0)
     message = re.escape("got -inf; the log-coordinate left the long-double range")
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the generator refuses without a warning
         with pytest.raises(DegenerateInput, match=message):
             generate_hitting_sequence(seed, p, 3000)
     q = psi21(seed, p)

@@ -14,11 +14,14 @@ from bykov import (
     BykovError,
     DegenerateInput,
     InsufficientData,
+    Observable,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
+    birkhoff_average,
     generate_hitting_sequence,
     sojourn_fractions,
+    verify_conjugacy,
 )
 import bykov.flow
 import bykov.hitting
@@ -243,9 +246,7 @@ def _outcome(run):
 
 _delta = st.floats(1.0, 4.0, exclude_min=True)
 _rate = st.floats(0.25, 4.0)
-
-
-@given(
+_ORBITS = dict(
     E1=_rate, E2=_rate, d1=_delta, d2=_delta,
     w1=st.floats(0.1, 5.0), w2=st.floats(0.1, 5.0),
     a=st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 1.0, exclude_max=True)),
@@ -253,20 +254,32 @@ _rate = st.floats(0.25, 4.0)
     eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     theta0=st.floats(-10.0, 10.0), z0=st.floats(1e-300, 0.5),
 )
-# the reinjected angle overflows while the perturbation is still awake;
-# the generator used to call that a radius correction reaching the axis
-@example(E1=1.0, E2=1.0, d1=1.5, d2=1.5, w1=1.0, w2=1.0, a=1e-300,
-         c1=0.1, c2=0.1, eps=1e-9, theta0=1.0, z0=float(np.exp(-1.0)))
-def test_perturbed_orbits_match_the_longhand_or_refuse_alike(
-    E1, E2, d1, d2, w1, w2, a, c1, c2, eps, theta0, z0
-):
+
+
+def _drawn_orbit(E1, E2, d1, d2, w1, w2, a, c1, c2, eps, theta0, z0):
+    """The perturbed system and ``Out2`` seed of one draw from ``_ORBITS``."""
     C1, C2 = E1 * d1, E2 * d2
     assume(C1 > E1 and C2 > E2)
     p = SystemParams(
         C1=C1, E1=E1, omega1=w1, C2=C2, E2=E2, omega2=w2, a=a,
         perturbation=PerturbationSpec(c1=c1, c2=c2, eps=eps),
     )
-    seed = SectionPoint("Out2", theta0, float(np.log(z0)))
+    return SectionPoint("Out2", theta0, float(np.log(z0))), p
+
+
+# the reinjected angle overflows while the perturbation is still awake
+_OVERFLOWING = dict(E1=1.0, E2=1.0, d1=1.5, d2=1.5, w1=1.0, w2=1.0, a=1e-300,
+                    c1=0.1, c2=0.1, eps=1e-9, theta0=1.0, z0=float(np.exp(-1.0)))
+
+
+@given(**_ORBITS)
+# the generator used to call the overflowed angle a radius correction
+# reaching the axis
+@example(**_OVERFLOWING)
+def test_perturbed_orbits_match_the_longhand_or_refuse_alike(
+    E1, E2, d1, d2, w1, w2, a, c1, c2, eps, theta0, z0
+):
+    seed, p = _drawn_orbit(E1, E2, d1, d2, w1, w2, a, c1, c2, eps, theta0, z0)
     n = 60
     gen = _outcome(lambda: generate_hitting_sequence(seed, p, n))
     ret = _outcome(lambda: iterated_poincare(seed, p, n))
@@ -289,3 +302,31 @@ def test_perturbed_orbits_match_the_longhand_or_refuse_alike(
     assert same_bits(got[:, 2], s + u)
     last = -(log_a + log_coord[2 * n]) / LD(E1)
     assert same_bits(closing, [theta[2 * n + 1], log_coord[2 * n + 1], last])
+
+
+@given(**_ORBITS)
+@example(**_OVERFLOWING)
+def test_the_generator_refuses_without_a_warning(**draw):
+    # with warnings as errors, a refusal is still a BykovError, and a
+    # result comes without a warning
+    seed, p = _drawn_orbit(**draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            generate_hitting_sequence(seed, p, 60)
+        except BykovError:
+            pass
+
+
+def test_an_overflowing_orbit_is_refused_under_warnings_as_errors():
+    # a = 1e-300: the reinjected angle overflows in th / a within 40 loops;
+    # the generators of birkhoff_average and verify_conjugacy refuse alike
+    p = dataclasses.replace(P, a=1e-300)
+    message = "theta_lifted is not finite: inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: generate_hitting_sequence(SEED, p, 40),
+                    lambda: birkhoff_average(SEED, p, Observable("piecewise_constant", 0.0, 1.0), 80),
+                    lambda: verify_conjugacy(SEED, p, p, 40)):
+            with pytest.raises(DegenerateInput, match=message):
+                run()

@@ -132,7 +132,11 @@ def digest() -> dict[str, str]:
     orbit passes the kernel's cut-off; ``verify_conjugacy`` replays each on
     the matched system with both expansion rates doubled.  A refusal
     hashes its type and message, a warning its category and message,
-    under the name of the call.  Holds for the 80-bit x87 long double only.
+    under the name of the call.  Then 16 orbits from seed 6, drawn the
+    same way, run 64 loops (128 smooth legs) under names ending in
+    ``.n64``: long enough that the backward carry of the adjusted times
+    passes its merge test and carries only the chains that own their
+    value.  Holds for the 80-bit x87 long double only.
     """
     if np.finfo(LD).nmant != 63:
         raise SystemExit(
@@ -176,6 +180,20 @@ def digest() -> dict[str, str]:
                 record(bykov.historic_certificate, s, name=f"historic_certificate.{kind}")
         g = bykov.matching_params(p, E1_bar=2 * p.E1, E2_bar=2 * p.E2, omega2_bar=p.omega2)
         record(bykov.verify_conjugacy, q0, p, g, 6)
+    rng = np.random.default_rng(6)
+    for k in range(16):
+        q0, p, G = draw_orbit(rng, perturbed=k % 2 == 1, smooth=True)
+        record(iterated_poincare, q0, p, 64, name="poincare.n64")
+        h = record(bykov.generate_hitting_sequence, q0, p, 64, name="generate_hitting_sequence.n64")
+        if h is None:
+            continue
+        d = bykov.derive_constants(p)
+        record(bykov.adjusted_sequence, h, d, name="adjusted_sequence.n64")
+        record(lambda: np.array([bykov.shift_invariance_check(h, d, N) for N in (0, 2, 17, 40)]),
+               name="shift_invariance_check.n64")
+        s = record(bykov.birkhoff_average, q0, p, G, 128, name="birkhoff_average.smooth.n64")
+        if s is not None:
+            record(bykov.historic_certificate, s, name="historic_certificate.smooth.n64")
     return {name: running.hexdigest() for name, running in sorted(sha.items())}
 
 

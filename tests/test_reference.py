@@ -30,6 +30,13 @@ DIGESTS = {
     "shift_invariance_check": "f014491d117f3291f3d8d6adcf86a6c84be66523fc9562786e5ffc9256ec18ec",
     "sojourn_fractions": "09c47638dccd9832aaee4a14ad1749fa3a11ffcd614bc41795e002c18205fef5",
     "verify_conjugacy": "4b619729fc20f700b06b7f766b62d7f3dd1503e21001f3f249ce0ab448fd230c",
+    # 64-loop orbits, whose backward carry passes its merge test
+    "adjusted_sequence.n64": "d067fbd6fd9b05a23a03dd001392645e7d68cccb789732deb172d6aa2fbbde65",
+    "birkhoff_average.smooth.n64": "85d67ca12fd738fbbe450e5cadf6bcb2c45c4ca45538eab84869219c883f4731",
+    "generate_hitting_sequence.n64": "d95494fb4d5912cf5a48e27e4754189b73e8de3515c14d7cd202b20bce76b6f9",
+    "historic_certificate.smooth.n64": "d99ca9e12dd54b42808f86445dbfd1046dc8689976b445029b0ff3849c5f4a7e",
+    "poincare.n64": "878c5b28e0ac575ef39dc915b52e9eea78edb185313df3828f6dcb8de33b65d3",
+    "shift_invariance_check.n64": "10804ad11190ffab3f9ec182a979ad9574fe69a541440696ac22a220ee613710",
 }
 
 

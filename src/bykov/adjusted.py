@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import LD
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, _check_count
 
@@ -157,7 +157,9 @@ def adjusted_sequence(
 
     ``n`` is the number of adjusted loops wanted (default: every measured
     loop); the exact recursion extrapolates cleanly, so ``n`` may exceed
-    the measured horizon.
+    the measured horizon, up to the loop whose durations or times leave
+    the long-double range: that one raises
+    :class:`~bykov.errors.InvalidTimes`.
     """
     if n is None:
         n = h.n_pairs
@@ -172,23 +174,33 @@ def adjusted_sequence(
     T0, tail_bound = _extract_limit(family)
 
     delta, tau_log_a = d.delta, d.invariants.tau_log_a
-    seq = [T0]
-    for _ in range(1, max(n, len(T))):
-        seq.append(delta * seq[-1] - tau_log_a)
-    T_seq_full = np.array(seq, dtype=LD)
-    offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        seq = [T0]
+        for _ in range(1, max(n, len(T))):
+            seq.append(delta * seq[-1] - tau_log_a)
+        T_seq_full = np.array(seq, dtype=LD)
+        offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)
 
-    t_even_zero = np.empty(n + 1, dtype=LD)
-    t_even_zero[0] = LD(0.0)
-    np.cumsum(T_seq_full[:n], out=t_even_zero[1:])
-    t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)
+        t_even_zero = np.empty(n + 1, dtype=LD)
+        t_even_zero[0] = LD(0.0)
+        np.cumsum(T_seq_full[:n], out=t_even_zero[1:])
+        t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)
+        t_even, t_odd = t_even_zero + offset, t_odd_zero + offset
+    # loop k ends at t_even[k+1]; a duration or zero-anchored time of loop
+    # k that is not finite makes t_even[k+1] or t_odd[k] not finite too
+    finite = np.isfinite(t_even[1:]) & np.isfinite(t_odd)
+    if not finite.all():
+        raise InvalidTimes(
+            f"adjusted loop {np.argmin(finite)} is not finite: the exact recursion "
+            f"leaves the long-double range before n={n}"
+        )
 
     return AdjustedTimes(
         T0_family=family,
         T0=T0,
         T_seq=T_seq_full[:n],
-        t_even=t_even_zero + offset,
-        t_odd=t_odd_zero + offset,
+        t_even=t_even,
+        t_odd=t_odd,
         t_even_zero=t_even_zero,
         t_odd_zero=t_odd_zero,
         offset=offset,

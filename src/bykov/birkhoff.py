@@ -169,19 +169,21 @@ def _segments(lo: np.ndarray, hi: np.ndarray, n_seg: np.ndarray):
 
 
 def _smooth_leg_integrals(
-    G: Observable, cylinder: str, log_in: np.ndarray, leg_len: np.ndarray, p: SystemParams
+    G: Observable, g_sigma: float, log_in: np.ndarray, leg_len: np.ndarray,
+    expand: float, contract: float,
 ) -> np.ndarray:
     """Integrate the smooth observable along the sojourn legs of one cylinder.
 
-    ``log_in`` holds the log of each leg's entry coordinate (height on
-    ``In1``, radius on ``In2``) and ``leg_len`` its length.  The
-    interpolation profile decays like ``exp(-m*contraction*t)`` away
-    from the entry wall and climbs back as ``exp(-m*expansion*(T-t))``
-    toward the exit wall, with a kink where the two log-coordinates
-    cross.  Each monotone piece is clipped to its contributing window and
-    integrated by composite Gauss-Legendre on the *actual* composed
-    function ``G(flow(t))``, the linear flow evaluated by
-    :func:`~bykov.flow._sojourn_logs` at every node of every leg in one
+    ``g_sigma`` is the value at the cylinder's equilibrium, ``log_in``
+    the log of each leg's entry coordinate (height on ``In1``, radius on
+    ``In2``), which grows at rate ``expand`` while the other fades at rate
+    ``contract``, and ``leg_len`` each leg's length.  The profile decays
+    like ``exp(-m*contract*t)`` away from the entry wall and climbs back
+    as ``exp(-m*expand*(T-t))`` toward the exit wall, with a kink where
+    the two log-coordinates cross.  Each monotone piece is clipped to its
+    contributing window and integrated by composite Gauss-Legendre on the
+    *actual* composed function ``G(flow(t))``, the linear flow evaluated
+    by :func:`~bykov.flow._sojourn_logs` at every node of every leg in one
     array pass.  No closed forms are consumed here, so tests can check
     this route against them independently.  Each segment's 32-node
     weighted sum is taken left to right (``cumsum``, not a pairwise
@@ -191,10 +193,6 @@ def _smooth_leg_integrals(
     ``tests/test_birkhoff.py`` keeps that loop as the reference.
     """
     m = float(G.m)
-    if cylinder == "V1":
-        contract, expand, g_sigma = p.C1, p.E1, G.g_sigma1
-    else:
-        contract, expand, g_sigma = p.C2, p.E2, G.g_sigma2
     contr, expd = float(contract), float(expand)
     fold1, fold2 = m * contr, m * expd  # e-foldings of the profile per unit time
     if not (0.0 < fold1 < np.inf and 0.0 < fold2 < np.inf):
@@ -212,11 +210,9 @@ def _smooth_leg_integrals(
     piece, mid, half = _segments(lo, hi, n_seg)
 
     entry = log_in[piece % leg_len.size, None]
-    zero = LD(0.0)
-    rho0, z0 = (zero, entry) if cylinder == "V1" else (entry, zero)
     t = mid[:, None] + half[:, None] * _GL_NODES
-    _, rho, z = _sojourn_logs(t, cylinder, rho0, z0, asld(expand), asld(contract))
-    f = _profile_value(G, g_sigma, rho, z) - g_sigma
+    _, growing, fading = _sojourn_logs(t, entry, asld(expand), asld(contract))
+    f = _profile_value(G, g_sigma, growing, fading) - g_sigma
     sums = np.cumsum(f * _GL_WEIGHTS, axis=1)[:, -1]
     pieces = np.bincount(piece, weights=half * sums, minlength=lo.size)
     return g_sigma * leg_len + pieces[: leg_len.size] + pieces[leg_len.size :]
@@ -239,21 +235,22 @@ def birkhoff_average(
     h = generate_hitting_sequence(q0, p, n_pairs)
     d = derive_constants(p)
 
+    # one row per cylinder: value, entry logs, sojourns, rates E and C; V1 legs
+    # enter from the Out2 crossings 0, 2, ..., reinjected by psi21, V2 legs
+    # from the Out1 crossings 1, 3, ..., glued to In2
+    rows = (
+        (G.g_sigma1, d.log_a + h.log_coord[0:upto_index:2],
+         h.sojourns_V1[: (upto_index + 1) // 2], p.E1, p.C1),
+        (G.g_sigma2, h.log_coord[1:upto_index:2], h.sojourns_V2[: upto_index // 2], p.E2, p.C2),
+    )
     increments = np.empty(upto_index, dtype=LD)
-    if G.kind == "piecewise_constant":
-        increments[0::2] = asld(G.g_sigma1) * h.sojourns_V1[: (upto_index + 1) // 2]
-        increments[1::2] = asld(G.g_sigma2) * h.sojourns_V2[: upto_index // 2]
-    else:
-        # V1 legs enter from the Out2 crossings 0, 2, ..., reinjected by
-        # psi21; V2 legs from the Out1 crossings 1, 3, ..., glued to In2
-        increments[0::2] = _smooth_leg_integrals(
-            G, "V1", d.log_a + h.log_coord[0:upto_index:2],
-            h.sojourns_V1[: (upto_index + 1) // 2].astype(float), p,
-        )
-        increments[1::2] = _smooth_leg_integrals(
-            G, "V2", h.log_coord[1:upto_index:2],
-            h.sojourns_V2[: upto_index // 2].astype(float), p,
-        )
+    for k, (g_sigma, log_in, sojourns, expand, contract) in enumerate(rows):
+        if G.kind == "piecewise_constant":
+            increments[k::2] = asld(g_sigma) * sojourns
+        else:
+            increments[k::2] = _smooth_leg_integrals(
+                G, g_sigma, log_in, sojourns.astype(float), expand, contract
+            )
     # averages[k-1] is the average over [0, times[k]]
     averages = np.cumsum(increments) / h.times[1 : upto_index + 1]
 

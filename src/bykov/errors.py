@@ -6,7 +6,6 @@ __all__ = [
     "BykovError",
     "ConstraintViolation",
     "DegenerateInput",
-    "OutOfSojourn",
     "InsufficientData",
     "NonConvergent",
     "InvalidTimes",
@@ -24,11 +23,11 @@ class ConstraintViolation(BykovError):
 
 
 class DegenerateInput(BykovError):
-    """A section point or seed sits on a boundary the maps cannot handle."""
+    """A section point, seed or flow state the maps cannot handle.
 
-
-class OutOfSojourn(BykovError):
-    """A flow evaluation time falls outside the current sojourn interval."""
+    It sits on a boundary, is not finite, or, for the flow inside a
+    cylinder, is asked for at a time outside its sojourn.
+    """
 
 
 class InsufficientData(BykovError):

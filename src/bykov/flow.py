@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._num import LD, TWO_PI, asld
-from .errors import DegenerateInput, OutOfSojourn
+from .errors import DegenerateInput
 from .params import PerturbationSpec, SystemParams, derive_constants
 
 __all__ = [
@@ -84,17 +84,11 @@ class SectionPoint:
         return np.mod(self.theta_lifted, TWO_PI)
 
 
-def _check_state(rho_log, z_log) -> None:
-    """Flow states, as log-coordinate values or arrays, are finite and ``<= 0``."""
-    if ((-np.inf < rho_log) & (rho_log <= 0.0) & (-np.inf < z_log) & (z_log <= 0.0)).all():
-        return
-    for name, v in (("rho_log", rho_log), ("z_log", z_log)):
+def _check_state(growing, fading) -> None:
+    """Flow states, as log-coordinate arrays, are finite."""
+    for name, v in (("growing", growing), ("fading", fading)):
         if not np.isfinite(v).all():
-            raise DegenerateInput(f"{name} is not finite")
-    raise DegenerateInput(
-        "state lies outside the unit cylinder: "
-        f"rho_log={np.max(rho_log)}, z_log={np.max(z_log)}"
-    )
+            raise DegenerateInput(f"{name} log-coordinate is not finite")
 
 
 # long-double bounds for the per-crossing checks: a comparison with a
@@ -275,7 +269,7 @@ def _snap_boundary(log_val: np.ndarray, scale) -> np.ndarray:
     At ``t = t_exit`` the expanding coordinate reaches the unit boundary
     by definition; the rounded multiply-add may land a few ulps above it
     (relative to the magnitudes cancelled, hence the ``scale`` argument),
-    which would wrongly fail state validation.  Genuine excursions are
+    a state just outside the unit cylinder.  Genuine excursions are
     never this small because ``t`` is range-checked first.
     """
     tol = _SNAP_ULPS * np.maximum(LD(1.0), abs(scale))
@@ -283,21 +277,22 @@ def _snap_boundary(log_val: np.ndarray, scale) -> np.ndarray:
     return log_val
 
 
-def _sojourn_logs(t, cylinder: str, rho_log, z_log, expand, contract):
-    """The linear flow's ``(t, rho_log, z_log)`` at times ``t`` into a sojourn.
+def _sojourn_logs(t, log_in, expand, contract):
+    """The linear flow's ``(t, growing, fading)`` at times ``t`` into a sojourn.
 
-    The one evaluator of the flow inside a cylinder: ``t`` (any shape, at
-    least 1-d on return) is broadcast against the entry log-coordinates
-    ``rho_log`` and ``z_log`` in cylinder ``"V1"`` or ``"V2"``, which
-    expands at ``expand`` and contracts at ``contract``.  The linear field
-    governs the orbit until the exit time ``t_exit``; a time past it by at
-    most one float64 ulp of ``t_exit`` is that exit time (a float64 time
-    rounded from a long-double sojourn may land there).  Any other time
-    outside ``[0, t_exit]`` raises :class:`~bykov.errors.OutOfSojourn`,
-    and the states reached must pass :func:`_check_state`.
+    The one evaluator of the flow inside a cylinder, in leg terms: the
+    entry coordinate, of log ``log_in``, grows at rate ``expand`` to the
+    unit boundary, reached at ``t_exit = -log_in / expand``; the other
+    fades from it at rate ``contract``, as ``0 - contract*t`` (``+0`` at
+    ``t = 0``).  ``t`` (any shape, at least 1-d on return) is broadcast
+    against ``log_in``.  A time past ``t_exit`` by at most one float64 ulp
+    of ``t_exit`` is that exit time (a float64 time rounded from a
+    long-double sojourn may land there); any other time outside
+    ``[0, t_exit]`` raises :class:`~bykov.errors.DegenerateInput`.  That
+    keeps both states in the unit cylinder, so only finiteness is checked.
     """
     t = np.array(t, dtype=LD, ndmin=1)
-    t_exit = -(z_log if cylinder == "V1" else rho_log) / expand
+    t_exit = -log_in / expand
     if not ((0.0 <= t) & (t <= t_exit)).all():
         t_exit = np.broadcast_to(t_exit, t.shape)
         over = (t > t_exit) & (t - t_exit <= np.spacing(t_exit.astype(float)))
@@ -305,15 +300,10 @@ def _sojourn_logs(t, cylinder: str, rho_log, z_log, expand, contract):
         outside = ~((0.0 <= t) & (t <= t_exit))
         if outside.any():
             i = np.flatnonzero(outside)[0]
-            raise OutOfSojourn(
-                f"t={float(t.flat[i])} outside the sojourn window [0, {float(t_exit.flat[i])}] "
-                f"of cylinder {cylinder}"
+            raise DegenerateInput(
+                f"t={float(t.flat[i])} outside the sojourn window [0, {float(t_exit.flat[i])}]"
             )
-    if cylinder == "V1":
-        rho = rho_log - contract * t
-        z = _snap_boundary(z_log + expand * t, z_log)
-    else:
-        rho = _snap_boundary(rho_log + expand * t, rho_log)
-        z = z_log - contract * t
-    _check_state(rho, z)
-    return t, rho, z
+    growing = _snap_boundary(log_in + expand * t, log_in)
+    fading = _ZERO - contract * t
+    _check_state(growing, fading)
+    return t, growing, fading

@@ -108,7 +108,6 @@ class DerivedConstants:
     delta1: np.longdouble
     delta2: np.longdouble
     delta: np.longdouble
-    K: np.longdouble
     tau: np.longdouble
     log_a: np.longdouble
     invariants: InvariantTuple
@@ -194,7 +193,6 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
     delta1 = C1 / E1
     delta2 = C2 / E2
     delta = delta1 * delta2
-    K = (w1 + gamma1 * w2) / E1
     tau = (LD(1.0) + gamma1) / E1
     log_a = np.log(a)
     inv = InvariantTuple(
@@ -209,7 +207,6 @@ def derive_constants(p: SystemParams) -> DerivedConstants:
         delta1=delta1,
         delta2=delta2,
         delta=delta,
-        K=K,
         tau=tau,
         log_a=log_a,
         invariants=inv,
@@ -254,9 +251,9 @@ def matching_params(
     """
     inv = invariant_tuple(p)
     E1b, E2b, w2b = asld(E1_bar), asld(E2_bar), asld(omega2_bar)
-    if not (E1b > 0 and E2b > 0 and w2b > 0):
+    if not all(0 < x < np.inf for x in (E1b, E2b, w2b)):
         raise ConstraintViolation(
-            "target rates must be positive, got "
+            "target rates must be positive and finite, got "
             f"E1_bar={E1_bar}, E2_bar={E2_bar}, omega2_bar={omega2_bar}"
         )
     C1b = inv.gamma1 * E2b

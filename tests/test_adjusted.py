@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bykov import (
     HittingSequence,
     InsufficientData,
+    InvalidTimes,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
@@ -234,6 +236,16 @@ def test_requires_two_pairs():
     h = generate_hitting_sequence(SEED, P, 1)
     with pytest.raises(InsufficientData, match="the backward family needs at least 2 loops, got 1"):
         adjusted_sequence(h, D)
+
+
+def test_a_grid_past_the_long_double_range_is_refused():
+    # with delta = 4 the durations pass the long-double range at loop 8191
+    h = generate_hitting_sequence(SEED, P, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidTimes, match=r"adjusted loop 8191 is not finite: .* n=10000"):
+            adjusted_sequence(h, D, 10000)
+        assert np.isfinite(adjusted_sequence(h, D, 8191).t_even[-1])
 
 
 def test_zero_anchored_grid_starts_at_zero(ideal):

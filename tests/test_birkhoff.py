@@ -20,7 +20,7 @@ from bykov import (
 )
 import bykov.params
 from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value
-from reference import LD, P, SEED, draw_orbit
+from reference import LD, P, PP, SEED, draw_orbit
 INDICATOR = Observable(kind="piecewise_constant", g_sigma1=0.0, g_sigma2=1.0)
 
 # arbitrary-precision references for the running average sampled at the
@@ -229,9 +229,12 @@ def _longhand_leg_integral(G, cylinder, entry, leg_len, p):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["idealized", "perturbed"])
 def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
     rng = np.random.default_rng(21 + perturbed)
-    n = 24
-    for _ in range(10):
-        q0, p, G = draw_orbit(rng, perturbed, smooth=True)
+    orbits = [(*draw_orbit(rng, perturbed, smooth=True), 24) for _ in range(10)]
+    # 64 legs: sojourns long enough that float64 node times round onto the exit
+    canonical = Observable(kind="smooth", g_sigma1=1.0, g_sigma2=4.0, m=2.0, g_boundary=2.5)
+    orbits += [(SEED, PP if perturbed else P, canonical, 64),
+               (*draw_orbit(rng, perturbed, smooth=True), 64)]
+    for q0, p, G, n in orbits:
         h = generate_hitting_sequence(q0, p, n // 2)
         increments = np.empty(n, dtype=LD)
         for j in range(n):

@@ -12,7 +12,6 @@ import pytest
 from bykov import (
     ConstraintViolation,
     DegenerateInput,
-    OutOfSojourn,
     PerturbationSpec,
     SectionPoint,
     SystemParams,
@@ -269,26 +268,26 @@ def test_perturbation_cannot_push_through_axis():
         phi1(q, pp)
 
 
-# the linear flow inside V1, entered from In1 (rho_log = 0, z_log < 0)
+# the linear flow inside V1, entered from In1: the height grows, the radius fades
 V1_RATES = (LD(P.E1), LD(P.C1))
 
 
 def test_sojourn_logs_start_on_the_wall_and_end_on_the_lid():
     z_log = LD(np.log(0.05))
-    _, rho, z = _sojourn_logs(0.0, "V1", LD(0.0), z_log, *V1_RATES)
+    _, z, rho = _sojourn_logs(0.0, z_log, *V1_RATES)
     np.testing.assert_array_equal([float(rho[0]), float(z[0])], [0.0, float(z_log)])
     t_exit = -z_log / LD(P.E1)
-    _, rho, z = _sojourn_logs(t_exit, "V1", LD(0.0), z_log, *V1_RATES)
+    _, z, rho = _sojourn_logs(t_exit, z_log, *V1_RATES)
     assert float(z[0]) == 0.0  # exactly on the lid
-    with pytest.raises(OutOfSojourn):
-        _sojourn_logs(float(t_exit) * 1.01, "V1", LD(0.0), z_log, *V1_RATES)
-    with pytest.raises(OutOfSojourn):
-        _sojourn_logs(-0.1, "V1", LD(0.0), z_log, *V1_RATES)
+    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
+        _sojourn_logs(float(t_exit) * 1.01, z_log, *V1_RATES)
+    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
+        _sojourn_logs(-0.1, z_log, *V1_RATES)
     # in V2, entered from In2, the rounded multiply-add overshoots the wall
     rho_log, rates = LD(-15.518991359192194), (LD(1.71845667068446), LD(3.0))
     t_exit2 = -rho_log / rates[0]
     assert rho_log + rates[0] * t_exit2 > 0.0
-    assert _sojourn_logs(t_exit2, "V2", rho_log, LD(0.0), *rates)[1][0] == 0.0  # snapped
+    assert _sojourn_logs(t_exit2, rho_log, *rates)[1][0] == 0.0  # snapped
 
 
 def test_sojourn_logs_take_a_float64_exit_time_rounded_up():
@@ -299,13 +298,13 @@ def test_sojourn_logs_take_a_float64_exit_time_rounded_up():
     if LD(t_up) <= t_exit:
         t_up = np.nextafter(t_up, np.inf)
     assert LD(t_up) > t_exit
-    t, rho, z = _sojourn_logs(t_up, "V1", LD(0.0), z_log, *V1_RATES)
+    t, z, rho = _sojourn_logs(t_up, z_log, *V1_RATES)
     assert float(z[0]) == 0.0
     assert t[0] == t_exit
-    assert rho[0] == _sojourn_logs(t_exit, "V1", LD(0.0), z_log, *V1_RATES)[1][0]
+    assert rho[0] == _sojourn_logs(t_exit, z_log, *V1_RATES)[2][0]
     two_ulps_up = np.nextafter(np.nextafter(t_up, np.inf), np.inf)
-    with pytest.raises(OutOfSojourn):
-        _sojourn_logs(two_ulps_up, "V1", LD(0.0), z_log, *V1_RATES)
+    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
+        _sojourn_logs(two_ulps_up, z_log, *V1_RATES)
 
 
 def test_flow_interior_is_linear_in_log():
@@ -315,11 +314,11 @@ def test_flow_interior_is_linear_in_log():
         z_log = LD(float(np.log(z0)))
         t_exit = float(-z_log / LD(P.E1))
         t = rng.uniform(0, t_exit)
-        _, rho, z = _sojourn_logs(t, "V1", LD(0.0), z_log, *V1_RATES)
+        _, z, rho = _sojourn_logs(t, z_log, *V1_RATES)
         np.testing.assert_allclose(float(rho[0]), -P.C1 * t, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(float(z[0]), float(z_log) + P.E1 * t, rtol=1e-14, atol=1e-16)
 
 
 def test_flow_state_validation():
-    with pytest.raises(DegenerateInput, match="outside the unit cylinder"):
-        _sojourn_logs(0.0, "V1", LD(0.5), LD(-1.0), *V1_RATES)
+    with pytest.raises(DegenerateInput, match="growing log-coordinate is not finite"):
+        _sojourn_logs(0.0, LD(-np.inf), *V1_RATES)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_derived_constants_canonical():
     np.testing.assert_allclose(float(d.delta1), 2.0, rtol=1e-18)
     np.testing.assert_allclose(float(d.delta2), 2.0, rtol=1e-18)
     np.testing.assert_allclose(float(d.delta), 4.0, rtol=1e-18)
-    np.testing.assert_allclose(float(d.K), 11 / 3, rtol=1e-15)
+    np.testing.assert_allclose(float(d.invariants.omega_combo / LD(P.E1)), 11 / 3, rtol=1e-15)
     np.testing.assert_allclose(float(d.tau), 7 / 3, rtol=1e-15)
     np.testing.assert_allclose(
         float(d.invariants.tau_log_a), -1.6173434213065390553, rtol=1e-15
@@ -122,7 +123,10 @@ def test_rate_scaling_covariance():
         dp, dq = derive_constants(p), derive_constants(q)
         np.testing.assert_allclose(float(dq.gamma1), float(dp.gamma1), rtol=1e-15)
         np.testing.assert_allclose(float(dq.gamma2), float(dp.gamma2), rtol=1e-15)
-        np.testing.assert_allclose(float(dq.K), float(dp.K), rtol=1e-14)
+        np.testing.assert_allclose(
+            float(dq.invariants.omega_combo / LD(q.E1)),
+            float(dp.invariants.omega_combo / LD(p.E1)), rtol=1e-14,
+        )
         np.testing.assert_allclose(
             float(dq.invariants.tau_log_a), float(dp.invariants.tau_log_a) / lam, rtol=1e-14
         )
@@ -176,6 +180,18 @@ def test_matching_params_rejects_out_of_domain_rates():
     # E2_bar/E1_bar above gamma2 would need C2_bar <= E2_bar
     with pytest.raises(ConstraintViolation, match="C2"):
         matching_params(P, E1_bar=1.0, E2_bar=4.0, omega2_bar=0.5)
+
+
+@pytest.mark.parametrize("rates", [(math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                   (1.0, 1.0, math.inf), (0.0, 1.0, 1.0), (1.0, 1.0, math.nan)],
+                         ids=["E1_bar=inf", "E2_bar=inf", "omega2_bar=inf", "E1_bar=0",
+                              "omega2_bar=nan"])
+def test_matching_params_target_rates_must_be_positive_and_finite(rates):
+    # an infinite E1_bar used to divide by zero in ln(a_bar) before refusing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintViolation, match="target rates must be positive and finite"):
+            matching_params(P, *rates)
 
 
 def test_matching_params_rejects_overspent_twist():

@@ -1,15 +1,18 @@
-"""The package's public names, and every name the benchmark and demos use.
+"""The package's public names, and every name the benchmark, demos and README use.
 
 The benchmark scripts are not edited together with the package, so a
 name pruned from ``bykov`` that one of them still reads would only show
-when the benchmark runs.  This reads the scripts as source text and
-checks each name they take from the package against the package itself.
+when the benchmark runs; the README's quickstart would only show when a
+reader runs it.  This reads the scripts, and the README's ``python``
+code blocks, as source text and checks each name they take from the
+package against the package itself.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -17,13 +20,14 @@ import pytest
 import bykov
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SCRIPTS = (sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+           + [ROOT / "README.md"])
 
 PUBLIC = [
     "AdjustedTimes", "AverageSeries", "BykovError", "Certificate", "ConjugacyReport",
     "ConstraintViolation", "DegenerateInput", "DerivedConstants", "DiagnosticSeries",
     "HittingSequence", "InsufficientData", "InvalidTimes", "InvariantMismatch",
-    "InvariantTuple", "NonConvergent", "Observable", "OutOfSojourn", "ParseError",
+    "InvariantTuple", "NonConvergent", "Observable", "ParseError",
     "PerturbationSpec", "RecoveredPoint", "SectionPoint", "SystemParams",
     "adjusted_sequence", "birkhoff_average", "corollary_ratios", "derive_constants",
     "estimate_invariants", "generate_hitting_sequence", "historic_certificate",
@@ -55,14 +59,22 @@ def _package_names(source: str) -> list[tuple[str, str]]:
     return used
 
 
+def _source(path: Path) -> str:
+    """A script's text, or the ``python`` code blocks of a Markdown file."""
+    text = path.read_text()
+    if path.suffix != ".md":
+        return text
+    return "\n".join(re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL))
+
+
 def test_public_names_are_pinned():
     assert sorted(bykov.__all__) == PUBLIC
     assert all(hasattr(bykov, name) for name in PUBLIC)
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_script_uses_only_names_the_package_has(path):
-    used = _package_names(path.read_text())
+    used = _package_names(_source(path))
     missing = [
         f"{module}.{name}" for module, name in used
         if not hasattr(importlib.import_module(module), name)
@@ -75,3 +87,5 @@ def test_the_benchmark_reads_the_package():
     used = _package_names((ROOT / "benchmarks" / "workloads.py").read_text())
     assert ("bykov", "birkhoff_average") in used
     assert ("bykov.acceptance", "ideal_closed_form_times") in used
+    # and the README's quickstart is read as code
+    assert ("bykov", "verify_conjugacy") in _package_names(_source(ROOT / "README.md"))

@@ -24,9 +24,9 @@ import numpy as np
 
 import bykov
 from bykov import Observable, PerturbationSpec, SectionPoint, SystemParams, phi1, poincare, psi21
-from bykov.acceptance import CANONICAL_PARAMS as P  # noqa: F401
+from bykov.acceptance import CANONICAL_PARAMS as P
 from bykov.acceptance import PERTURBED_PARAMS as PP  # noqa: F401
-from bykov.acceptance import SEED  # noqa: F401
+from bykov.acceptance import SEED
 
 LD = np.longdouble
 
@@ -111,6 +111,34 @@ def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
     return np.array(steps, dtype=LD), np.array([out1.theta_lifted, out1.log_coord, s])
 
 
+def _near_one_estimate():
+    return bykov.estimate_invariants(bykov.generate_hitting_sequence(SEED, _NEAR_ONE, 12))
+
+
+_TINY_A = dataclasses.replace(P, a=1e-300)  # the reinjected angle overflows at once
+_DELTA81 = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5)
+_AXIS = dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5))
+_NEAR_ONE = dataclasses.replace(P, C1=1.05, E1=1, C2=1.05, E2=1)  # delta = 1.1025
+
+# (name, call, arguments) of inputs that the random draws never reach
+EDGE_CASES = (
+    ("edge.poincare.tiny_a", iterated_poincare, (SEED, _TINY_A, 40)),
+    ("edge.generate_hitting_sequence.tiny_a", bykov.generate_hitting_sequence, (SEED, _TINY_A, 40)),
+    # the log height overflows to -inf at return 2585
+    ("edge.poincare.delta81", iterated_poincare, (SectionPoint("Out2", 0.0, -1.0), _DELTA81, 2600)),
+    ("edge.generate_hitting_sequence.delta81", bykov.generate_hitting_sequence,
+     (SectionPoint("Out2", 0.0, -1.0), _DELTA81, 2600)),
+    # reinjected onto In1 at angle pi, where the radius correction is -22.5
+    ("edge.poincare.axis", iterated_poincare, (SectionPoint("Out2", np.pi / 2, np.log(0.9)), _AXIS, 4)),
+    ("edge.generate_hitting_sequence.axis", bykov.generate_hitting_sequence,
+     (SectionPoint("Out2", np.pi / 2, np.log(0.9)), _AXIS, 4)),
+    ("edge.estimate_invariants.near_one", _near_one_estimate, ()),
+    # leg 1023 is 1.45e308, past half the float64 range
+    ("edge.birkhoff_average.smooth", bykov.birkhoff_average,
+     (SEED, P, Observable("smooth", 0.0, 1.0, m=2), 1023)),
+)
+
+
 def _encode(x) -> bytes:
     """Type-tagged bytes of ``x``, with the value bytes of each floating value."""
     if isinstance(x, (np.ndarray, np.generic, float)):
@@ -136,7 +164,8 @@ def digest() -> dict[str, str]:
     same way, run 64 loops (128 smooth legs) under names ending in
     ``.n64``: long enough that the backward carry of the adjusted times
     passes its merge test and carries only the chains that own their
-    value.  Holds for the 80-bit x87 long double only.
+    value.  Last, the ``EDGE_CASES``, each under its own ``edge.*`` name.
+    Holds for the 80-bit x87 long double only.
     """
     if np.finfo(LD).nmant != 63:
         raise SystemExit(
@@ -194,6 +223,8 @@ def digest() -> dict[str, str]:
         s = record(bykov.birkhoff_average, q0, p, G, 128, name="birkhoff_average.smooth.n64")
         if s is not None:
             record(bykov.historic_certificate, s, name="historic_certificate.smooth.n64")
+    for name, f, args in EDGE_CASES:
+        record(f, *args, name=name)
     return {name: running.hexdigest() for name, running in sorted(sha.items())}
 
 

@@ -37,6 +37,15 @@ DIGESTS = {
     "historic_certificate.smooth.n64": "d99ca9e12dd54b42808f86445dbfd1046dc8689976b445029b0ff3849c5f4a7e",
     "poincare.n64": "878c5b28e0ac575ef39dc915b52e9eea78edb185313df3828f6dcb8de33b65d3",
     "shift_invariance_check.n64": "10804ad11190ffab3f9ec182a979ad9574fe69a541440696ac22a220ee613710",
+    # inputs that the random draws never reach (reference.EDGE_CASES)
+    "edge.birkhoff_average.smooth": "29ef825583430c978fcb80d601f89d4331234449168e8daa9e157fbadea767ba",
+    "edge.estimate_invariants.near_one": "b1a64ac447109a1121a38182c1c4afbb7b1b256c2ac27f3c434dcbb31f9dc827",
+    "edge.generate_hitting_sequence.axis": "73cf782e640a48aed0df4a8e0e0cbcd55ac8562f038c2406340cb0c2f0b6a8cf",
+    "edge.generate_hitting_sequence.delta81": "b660711e1ae1892d5e5bc39180843a18c0634e554961686ba780f01d00dce175",
+    "edge.generate_hitting_sequence.tiny_a": "5874a3da31803d011c88d94987db04eed4f7a941a7d39b1a74a4b84760873384",
+    "edge.poincare.axis": "73cf782e640a48aed0df4a8e0e0cbcd55ac8562f038c2406340cb0c2f0b6a8cf",
+    "edge.poincare.delta81": "cdfd232bec7c5179fbca010b9b03291267c1754d08cebdc66f98a7edd564943c",
+    "edge.poincare.tiny_a": "3d963b7b017aab49e45974d978e1612fb4ed955cc77b557860be22bdb29010ad",
 }
 
 

@@ -17,9 +17,11 @@ Four cross-sections bound the sojourns:
 
 ``Out1`` and ``In2`` are glued by the identity, so points move through
 
-    In1 --phi1--> Out1 == In2 --phi2--> Out2 --psi21--> In1 --> ...
+    In1 --Phi1--> Out1 == In2 --Phi2--> Out2 --psi21--> In1 --> ...
 
-``psi21`` models the global reinjection: heights shrink by the factor
+The local transition maps ``Phi1`` and ``Phi2`` are written once, as the
+two legs of one return step that :func:`poincare` and the hitting-time
+generator share; ``psi21`` models the global reinjection: heights shrink by the factor
 ``a`` and angles are scaled by ``1/a``.  All coordinates are kept in log
 space; the heights involved decay like ``exp(-delta^n)`` and would leave
 double precision (let alone linear coordinates) within a handful of
@@ -37,14 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD, TWO_PI, asld
+from ._num import LD, asld
 from .errors import DegenerateInput
 from .params import PerturbationSpec, SystemParams, derive_constants
 
 __all__ = [
     "SectionPoint",
-    "phi1",
-    "phi2",
     "psi21",
     "poincare",
 ]
@@ -77,11 +77,6 @@ class SectionPoint:
         if not isinstance(self.log_coord, LD):
             object.__setattr__(self, "log_coord", asld(self.log_coord))
         _check_crossing(self.theta_lifted, self.log_coord)
-
-    @property
-    def theta(self) -> np.longdouble:
-        """Angle reduced to ``[0, 2*pi)``."""
-        return np.mod(self.theta_lifted, TWO_PI)
 
 
 def _check_state(growing, fading) -> None:
@@ -162,7 +157,7 @@ def _half_transition(
     eps: np.longdouble,
     cut: np.longdouble,
 ) -> tuple[np.longdouble, np.longdouble, np.longdouble]:
-    """Shared kernel of both half-transition maps.
+    """Shared kernel of both half-transition maps, ``Phi1`` and ``Phi2``.
 
     Returns ``(transit, log_out, theta_out)`` for a sojourn whose entry
     coordinate has log ``log_in``, expansion rate ``expand``, saddle index
@@ -199,34 +194,21 @@ def _half_transition(
     return transit, log_out, theta_out
 
 
-def phi1(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
-    """Carry an ``In1`` point through ``V1`` to ``Out1``.
+def _return_legs(log_in, theta_in, leg1, leg2):
+    """One return step from ``In1`` to ``Out2``: ``Phi1``, the lid gluing, ``Phi2``.
 
-    Returns the exit point and the transit time ``-ln(z) / E1``.  In the
-    idealized model the exit radius satisfies ``ln rho' = delta1 * ln z``
-    and the angle advances by ``omega1`` times the transit; with a
-    perturbation attached to ``p`` the exit coordinates pick up
-    angle-dependent corrections that vanish with the entry height.
+    Runs the ``V1`` leg, checks the ``Out1`` crossing (glued to ``In2``
+    unchanged), runs the ``V2`` leg and checks the ``Out2`` crossing.
+    ``leg1`` and ``leg2`` are the kernel constants of
+    :func:`_leg_constants`.  Returns ``(s, log1, theta1, u, log2,
+    theta2)``: the ``V1`` transit and ``Out1`` crossing, then the ``V2``
+    transit and ``Out2`` crossing.
     """
-    _require_chart(q, "In1", "phi1")
-    transit, log_out, theta_out = _half_transition(
-        q.log_coord, q.theta_lifted, *_leg_constants(p)[0]
-    )
-    return SectionPoint("Out1", theta_out, log_out), transit
-
-
-def phi2(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
-    """Carry an ``In2`` point through ``V2`` to ``Out2``.
-
-    Mirror image of :func:`phi1` with the roles of radius and height
-    exchanged: transit ``-ln(rho) / E2``, exit height
-    ``ln z' = delta2 * ln rho`` plus the analogous corrections.
-    """
-    _require_chart(q, "In2", "phi2")
-    transit, log_out, theta_out = _half_transition(
-        q.log_coord, q.theta_lifted, *_leg_constants(p)[1]
-    )
-    return SectionPoint("Out2", theta_out, log_out), transit
+    s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
+    _check_crossing(theta1, log1)
+    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+    _check_crossing(theta2, log2)
+    return s, log1, theta1, u, log2, theta2
 
 
 def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
@@ -244,7 +226,7 @@ def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
 
 
 def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
-    """The full return map on ``In1``: phi1, lid gluing, phi2, reinjection.
+    """The full return map on ``In1``: Phi1, lid gluing, Phi2, reinjection.
 
     Returns the next ``In1`` point and the return time (sum of the two
     transits; the gluing and the reinjection are instantaneous).  In the
@@ -253,10 +235,8 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     """
     _require_chart(q, "In1", "poincare")
     leg1, leg2, a, log_a = _leg_constants(p)
-    s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
-    _check_crossing(theta1, log1)  # the Out1 crossing, glued to In2 unchanged
-    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
-    _check_crossing(theta2, log2)  # the Out2 crossing, reinjected as psi21 does
+    s, _, _, u, log2, theta2 = _return_legs(q.log_coord, q.theta_lifted, leg1, leg2)
+    # the Out2 point reinjected as psi21 does
     return SectionPoint("In1", theta2 / a, log_a + log2), s + u
 
 

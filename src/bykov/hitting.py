@@ -8,7 +8,9 @@ import numpy as np
 
 from ._num import LD
 from .errors import DegenerateInput, InsufficientData
-from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants
+from .flow import (
+    SectionPoint, _check_crossing, _half_transition, _leg_constants, _return_legs,
+)
 from .params import SystemParams, _check_count
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]
@@ -71,15 +73,19 @@ def generate_hitting_sequence(
     # a value that overflows is refused by the checks below as DegenerateInput,
     # not by NumPy's warning, which a caller's filter may turn into an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            if k % 2:  # reinjection psi21 onto In1, then the V1 sojourn to Out1
-                legs[k - 1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
-            else:  # Out1 is glued to In2; the V2 sojourn to Out2
-                legs[k - 1], lc, th = _half_transition(lc, th, *leg2)
-            # the In1 point in between needs no check of its own: its log height
-            # is log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
-            _check_crossing(th, lc)
-            theta[k], log_coord[k] = th, lc
+        # each loop reinjects the Out2 crossing k-1 onto In1, as psi21 does,
+        # and returns through Out1 (crossing k) to Out2 (crossing k+1); the
+        # In1 point needs no check of its own: its log height is
+        # log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
+        for k in range(1, n - 1, 2):
+            legs[k - 1], log_coord[k], theta[k], legs[k], lc, th = _return_legs(
+                log_a + lc, th / a, leg1, leg2
+            )
+            theta[k + 1], log_coord[k + 1] = th, lc
+        # the closing V1 sojourn
+        legs[-1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
+        _check_crossing(th, lc)
+        theta[-1], log_coord[-1] = th, lc
         np.cumsum(legs, out=times[1:])
         increasing = np.all(np.diff(times) > 0)
     if not increasing:

@@ -23,7 +23,7 @@ if __name__ == "__main__":
 import numpy as np
 
 import bykov
-from bykov import Observable, PerturbationSpec, SectionPoint, SystemParams, phi1, poincare, psi21
+from bykov import Observable, PerturbationSpec, SectionPoint, SystemParams, poincare, psi21
 from bykov.acceptance import CANONICAL_PARAMS as P
 from bykov.acceptance import PERTURBED_PARAMS as PP  # noqa: F401
 from bykov.acceptance import SEED
@@ -102,13 +102,21 @@ def longhand_chain(value, steps: int, d):
 
 
 def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
-    """``n_pairs`` return steps ``(theta, log, time)`` from the reinjected seed, then ``phi1``."""
+    """``n_pairs`` return steps ``(theta, log, time)`` from the reinjected seed, then a ``V1`` leg.
+
+    The closing leg is the longhand ``half_transition``, on the ``V1``
+    constants written out from ``p``.
+    """
     q, steps = psi21(q0, p), []
     for _ in range(n_pairs):
         q, t = poincare(q, p)
         steps.append((q.theta_lifted, q.log_coord, t))
-    out1, s = phi1(q, p)
-    return np.array(steps, dtype=LD), np.array([out1.theta_lifted, out1.log_coord, s])
+    pert = p.perturbation or PerturbationSpec()
+    E1 = LD(p.E1)
+    s, log1, theta1 = half_transition(q.log_coord, q.theta_lifted, E1, LD(p.C1) / E1,
+                                      LD(p.omega1), LD(pert.c1), LD(pert.eps))
+    SectionPoint("Out1", theta1, log1)  # checked, as the generator checks it
+    return np.array(steps, dtype=LD), np.array([theta1, log1, s])
 
 
 def _near_one_estimate():

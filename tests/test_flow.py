@@ -16,8 +16,6 @@ from bykov import (
     SectionPoint,
     SystemParams,
     generate_hitting_sequence,
-    phi1,
-    phi2,
     poincare,
     psi21,
 )
@@ -62,36 +60,35 @@ def test_section_point_fields_are_long_doubles(theta, log):
         assert (got is given) == isinstance(given, LD)
 
 
-def test_theta_reduction():
-    q = SectionPoint(chart="In1", theta_lifted=7.5 + 4 * np.pi, log_coord=-1.0)
-    np.testing.assert_allclose(float(q.theta), 7.5 - 2 * np.pi, atol=1e-17)
-
-
 def test_phi1_first_cylinder_passage():
     """Entry height 0.05 on the wall of the expanding-height cylinder."""
-    q = SectionPoint(chart="In1", theta_lifted=1.0, log_coord=np.log(LD("0.05")))
-    out, transit = phi1(q, P)
-    assert out.chart == "Out1"
+    transit, log_out, theta_out = _half_transition(
+        np.log(LD("0.05")), LD(1.0), *_leg_constants(P)[0]
+    )
     np.testing.assert_allclose(transit, LD("2.995732273553990993435"), rtol=1e-17)
-    np.testing.assert_allclose(out.log_coord, LD("-5.99146454710798198687"), rtol=1e-17)
-    np.testing.assert_allclose(out.theta_lifted, LD("3.995732273553990993435"), rtol=1e-17)
+    np.testing.assert_allclose(log_out, LD("-5.99146454710798198687"), rtol=1e-17)
+    np.testing.assert_allclose(theta_out, LD("3.995732273553990993435"), rtol=1e-17)
 
 
 def test_phi2_second_cylinder_passage():
-    q = SectionPoint(chart="In2", theta_lifted=0.0, log_coord=np.log(LD("0.0025")))
-    out, transit = phi2(q, P)
-    assert out.chart == "Out2"
+    transit, log_out, theta_out = _half_transition(
+        np.log(LD("0.0025")), LD(0.0), *_leg_constants(P)[1]
+    )
     np.testing.assert_allclose(transit, LD("3.994309698071987991247"), rtol=1e-17)
-    np.testing.assert_allclose(out.log_coord, LD("-11.98292909421596397374"), rtol=1e-17)
-    np.testing.assert_allclose(out.theta_lifted, LD("7.988619396143975982494"), rtol=1e-17)
+    np.testing.assert_allclose(log_out, LD("-11.98292909421596397374"), rtol=1e-17)
+    np.testing.assert_allclose(theta_out, LD("7.988619396143975982494"), rtol=1e-17)
 
 
 def test_phi_requires_matching_chart():
-    q = SectionPoint(chart="Out2", theta_lifted=0.0, log_coord=-1.0)
-    with pytest.raises(DegenerateInput):
-        phi1(q, P)
-    with pytest.raises(DegenerateInput):
-        phi2(q, P)
+    # the return map starts on In1, the reinjection on Out2
+    for chart in ("Out1", "In2", "Out2"):
+        q = SectionPoint(chart=chart, theta_lifted=0.0, log_coord=-1.0)
+        with pytest.raises(DegenerateInput, match=f"poincare expects a point on In1, got {chart}"):
+            poincare(q, P)
+    for chart in ("In1", "Out1", "In2"):
+        q = SectionPoint(chart=chart, theta_lifted=0.0, log_coord=-1.0)
+        with pytest.raises(DegenerateInput, match=f"psi21 expects a point on Out2, got {chart}"):
+            psi21(q, P)
 
 
 def test_psi21_reinjection_algebra():
@@ -133,8 +130,7 @@ def test_transit_times_positive_and_monotone():
     heights = np.sort(rng.uniform(1e-8, 0.999, size=40))
     transits = []
     for z in heights:
-        q = SectionPoint(chart="In1", theta_lifted=0.0, log_coord=float(np.log(z)))
-        _, s = phi1(q, P)
+        s, _, _ = _half_transition(LD(float(np.log(z))), LD(0.0), *_leg_constants(P)[0])
         assert s > 0
         transits.append(float(s))
     # deeper entry (smaller z) means longer passage
@@ -142,27 +138,31 @@ def test_transit_times_positive_and_monotone():
 
 
 def test_perturbed_phi1_matches_direct_formula():
-    lnz = LD(np.log(LD("0.05")))
-    theta = LD(0.7)
-    q = SectionPoint(chart="In1", theta_lifted=float(theta), log_coord=lnz)
-    out, transit = phi1(q, PP)
-    # E1 = 1, C1/E1 = 2, omega1 = 1, c1 = 0.1, eps = 0.5
-    _, ln_rho, theta_out = half_transition(lnz, theta, LD(1), LD(2), LD(1), LD("0.1"), LD("0.5"))
-    np.testing.assert_allclose(float(transit), float(-lnz), rtol=1e-18)
-    np.testing.assert_allclose(float(out.log_coord), float(ln_rho), rtol=1e-17)
-    np.testing.assert_allclose(float(out.theta_lifted), float(theta_out), rtol=1e-17)
+    # the generator's first odd crossing is the V1 leg from the reinjected seed
+    seed = SectionPoint(chart="Out2", theta_lifted=1.4, log_coord=np.log(LD("0.1")))
+    h = generate_hitting_sequence(seed, PP, 1)
+    lnz, theta = np.log(LD(PP.a)) + seed.log_coord, seed.theta_lifted / LD(PP.a)
+    # E1 = 1, C1/E1 = 2, omega1 = 1, c1 = 0.1 (the float64 given), eps = 0.5
+    transit, ln_rho, theta_out = half_transition(
+        lnz, theta, LD(1), LD(2), LD(1), LD(0.1), LD(0.5)
+    )
+    assert same_bits(h.sojourns_V1[0], -lnz)
+    assert same_bits(h.log_coord[1], ln_rho)
+    assert same_bits(h.theta[1], theta_out)
 
 
 def test_poincare_is_the_composition_of_its_legs():
-    """poincare = psi21 . phi2 . (Out1 == In2) . phi1, bit for bit."""
+    """poincare = psi21 . Phi2 . (Out1 == In2) . Phi1, bit for bit."""
+    leg1, leg2 = _leg_constants(PP)[:2]
     q = SectionPoint(chart="In1", theta_lifted=0.7, log_coord=float(np.log(0.05)))
     for _ in range(6):
-        out1, s = phi1(q, PP)
-        out2, u = phi2(SectionPoint("In2", out1.theta_lifted, out1.log_coord), PP)
-        expected = psi21(out2, PP)
+        s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
+        u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+        expected = psi21(SectionPoint("Out2", theta2, log2), PP)
         q, sojourn = poincare(q, PP)
-        assert q == expected
-        assert sojourn == s + u
+        assert same_bits(q.theta_lifted, expected.theta_lifted)
+        assert same_bits(q.log_coord, expected.log_coord)
+        assert same_bits(sojourn, s + u)
 
 
 @pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
@@ -264,8 +264,14 @@ def test_perturbation_cannot_push_through_axis():
     # a correction of relative size < -1 would mean a negative radius
     pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5))
     q = SectionPoint(chart="In1", theta_lifted=float(np.pi), log_coord=float(np.log(0.45)))
-    with pytest.raises(DegenerateInput, match="radius"):
-        phi1(q, pp)
+    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis; 1 \\+ -22.5 <= 0"):
+        poincare(q, pp)
+    # the reinjected seed on Out2 at angle pi/2 enters V1 at pi, as in the generator
+    seed = SectionPoint(chart="Out2", theta_lifted=np.pi / 2, log_coord=np.log(0.9))
+    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis"):
+        poincare(psi21(seed, pp), pp)
+    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis"):
+        generate_hitting_sequence(seed, pp, 1)
 
 
 # the linear flow inside V1, entered from In1: the height grows, the radius fades

@@ -32,7 +32,7 @@ PUBLIC = [
     "adjusted_sequence", "birkhoff_average", "corollary_ratios", "derive_constants",
     "estimate_invariants", "generate_hitting_sequence", "historic_certificate",
     "invariant_tuple", "lemma_diagnostics", "matching_params", "perturbation_decay_slope",
-    "phi1", "phi2", "poincare", "predicted_limits", "psi21", "recover_point",
+    "poincare", "predicted_limits", "psi21", "recover_point",
     "shift_invariance_check", "sojourn_fractions", "validate_params", "verify_conjugacy",
 ]
 

@@ -116,11 +116,12 @@ def _require_chart(q: SectionPoint, chart: str, op: str) -> None:
 # exp(x) rounds to +0 for every x below this: ln of the smallest subnormal,
 # less a margin of 2 (ln 2 would do) that absorbs the rounding of the cut-offs
 _LN_UNDERFLOW = np.log(np.finfo(LD).smallest_subnormal) - LD(2.0)
+_LD_MAX = np.finfo(LD).max
 
 
 @functools.lru_cache(maxsize=128)
-def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble]:
-    """Kernel constants ``(expand, saddle, twist, c, eps, cut)`` of both legs, ``a``, ``ln a``.
+def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble, tuple]:
+    """Kernel constants ``(expand, saddle, twist, c, eps, cut)`` of both legs, ``a``, ``ln a``, the reach.
 
     Derived once per parameter set and memoized; ``derive_constants``
     validates ``p`` first, so an invalid set is never stored.  No
@@ -130,6 +131,16 @@ def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.lon
     ``(ln(smallest subnormal) - 2) / (saddle*eps)``, or ``+inf`` when
     ``c`` is 0, so that every entry lies below it (see
     :func:`_half_transition`).
+
+    The reach ``(-X, X)`` bounds the entries of a return step, ``ln z``
+    and the angle, inside which no value of the step overflows, the
+    reinjection included (see :func:`poincare`).  A leg takes entries of
+    size up to ``X`` to values below ``g*X + b``, with ``g = 1 + 2*saddle
+    + (1 + twist)/expand`` and ``b = 45 + c``: the radial term ``log1p``
+    lies between ``ln(2**-64)`` and ``ln(1 + c) <= c``.  So every value of
+    the step stays below ``2*(g2*(g1*X + b1) + b2 + |ln a|)/a``, which
+    ``X`` keeps below half the long-double maximum.  Where that leaves no
+    positive ``X``, ``X`` is 0 and every step is guarded.
     """
     d = derive_constants(p)
     pert = p.perturbation or PerturbationSpec()
@@ -140,11 +151,13 @@ def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.lon
         cut = _LN_UNDERFLOW / (saddle * eps) if c != 0.0 else LD(np.inf)
         return asld(E), saddle, asld(omega), c, eps, cut
 
-    return (
-        leg(p.E1, d.delta1, p.omega1, pert.c1),
-        leg(p.E2, d.delta2, p.omega2, pert.c2),
-        asld(p.a), d.log_a,
-    )
+    legs = leg(p.E1, d.delta1, p.omega1, pert.c1), leg(p.E2, d.delta2, p.omega2, pert.c2)
+    a = asld(p.a)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows is no reach
+        (g1, b1), (g2, b2) = ((1 + 2 * S + (1 + w) / E, 45 + c) for E, S, w, c, _, _ in legs)
+        X = ((_LD_MAX * a / 4 - b2 - abs(d.log_a)) / g2 - b1) / g1
+    X = X if X > 0.0 else LD(0.0)
+    return (*legs, a, d.log_a, (-X, X))
 
 
 def _half_transition(
@@ -221,8 +234,10 @@ def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
     well-defined regardless.)  Instantaneous: no time elapses.
     """
     _require_chart(q, "Out2", "psi21")
-    _, _, a, log_a = _leg_constants(p)
-    return SectionPoint("In1", q.theta_lifted / a, log_a + q.log_coord)
+    _, _, a, log_a, _ = _leg_constants(p)
+    with np.errstate(over="ignore"):  # an overflow is refused by the point's check
+        theta, log = q.theta_lifted / a, log_a + q.log_coord
+    return SectionPoint("In1", theta, log)
 
 
 def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
@@ -232,12 +247,26 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     transits; the gluing and the reinjection are instantaneous).  In the
     idealized model the heights obey ``ln z' = ln a + delta * ln z``
     exactly.
+
+    A value that leaves the long-double range is refused as
+    :class:`~bykov.errors.DegenerateInput`, without NumPy's overflow
+    warning, which a caller's filter may turn into an error: an entry
+    inside the parameter set's reach (see :func:`_leg_constants`) cannot
+    overflow, and a step from outside it runs under ``np.errstate``.
     """
     _require_chart(q, "In1", "poincare")
-    leg1, leg2, a, log_a = _leg_constants(p)
-    s, _, _, u, log2, theta2 = _return_legs(q.log_coord, q.theta_lifted, leg1, leg2)
-    # the Out2 point reinjected as psi21 does
-    return SectionPoint("In1", theta2 / a, log_a + log2), s + u
+    leg1, leg2, a, log_a, (lo, hi) = _leg_constants(p)
+    log_in, theta_in = q.log_coord, q.theta_lifted
+    if lo < log_in and lo < theta_in < hi:
+        s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
+        # the Out2 point reinjected as psi21 does
+        return SectionPoint("In1", theta2 / a, log_a + log2), s + u
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
+        q, t = SectionPoint("In1", theta2 / a, log_a + log2), s + u
+    if not t < _INF:
+        raise DegenerateInput(f"return time is not finite: {t}")
+    return q, t
 
 
 _SNAP_ULPS = LD(64.0) * np.finfo(LD).eps

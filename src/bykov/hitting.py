@@ -61,7 +61,7 @@ def generate_hitting_sequence(
         )
     if _check_count(n_pairs, "n_pairs") < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
-    leg1, leg2, a, log_a = _leg_constants(p)
+    leg1, leg2, a, log_a, _ = _leg_constants(p)
 
     n = 2 * n_pairs + 2
     theta = np.empty(n, dtype=LD)

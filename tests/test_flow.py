@@ -208,12 +208,72 @@ def test_a_log_coordinate_past_the_long_double_range_says_so():
     q = psi21(seed, p)
     for _ in range(2584):
         q, _ = poincare(q, p)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # poincare refuses without a warning too
         with pytest.raises(DegenerateInput, match=message):
             poincare(q, p)
     # a finite bad value gets no such note
     with pytest.raises(DegenerateInput, match=r"got 0\.5$"):
         SectionPoint(chart="In1", theta_lifted=0.0, log_coord=0.5)
+
+
+_FAR = [
+    P, PP,
+    SystemParams(C1=1e6, E1=1e-300, omega1=1e300, C2=1e300, E2=1e-300, omega2=3, a=0.5,
+                 perturbation=PerturbationSpec(c1=1e300, c2=1e300, eps=0.99)),
+    SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=5e-324),
+]
+
+
+@pytest.mark.parametrize("p", _FAR, ids=["idealized", "perturbed", "extreme_rates", "tiny_a"])
+def test_a_step_inside_the_reach_cannot_overflow(p):
+    # poincare runs a step from inside the reach without np.errstate, so a
+    # value that overflowed there would warn; entries on the reach's edge
+    lo, hi = _leg_constants(p)[-1]
+    assert -lo == hi > 0.0
+    inside = (np.nextafter(lo, LD(0.0)), np.nextafter(hi, LD(0.0)))
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for log_in in (inside[0], lo / 2, LD(-1.0)):
+            for theta_in in inside + (LD(0.0),):
+                try:
+                    q, t = poincare(SectionPoint("In1", theta_in, log_in), p)
+                except DegenerateInput as err:  # a crossing off the connection
+                    assert "not finite" not in str(err) and "long-double range" not in str(err)
+                else:
+                    assert np.isfinite([q.theta_lifted, q.log_coord, t]).all()
+                    seen += 1
+    assert seen
+
+
+def test_a_step_outside_the_reach_is_refused_without_a_warning():
+    # delta = 81, with slow twists so that the angle stays in range
+    delta81 = SystemParams(C1=9, E1=1, omega1=1e-300, C2=9, E2=1, omega2=1e-300, a=0.5)
+    tiny_a = _FAR[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match=re.escape("got -inf; the log-coordinate left")):
+            poincare(SectionPoint("In1", 0.0, LD("-1e4931")), delta81)
+        with pytest.raises(DegenerateInput, match="theta_lifted is not finite: inf"):
+            poincare(SectionPoint("In1", LD("1e4610"), -1.0), tiny_a)
+        # as in psi21, whose one step is always guarded
+        with pytest.raises(DegenerateInput, match="theta_lifted is not finite: inf"):
+            psi21(SectionPoint("Out2", LD("1e4610"), -1.0), tiny_a)
+        # each transit is finite, their sum is not
+        p = SystemParams(C1=1.01e-300, E1=1e-300, omega1=5e-324,
+                         C2=1.01e-300, E2=1e-300, omega2=5e-324, a=0.5)
+        with pytest.raises(DegenerateInput, match="return time is not finite: inf"):
+            poincare(SectionPoint("In1", 0.0, LD("-6e4631")), p)
+        # past the reach, a step that stays in range is the composition of its legs
+        lo, _ = _leg_constants(tiny_a)[-1]
+        q = SectionPoint("In1", 1.0, lo * 2)
+        nxt, t = poincare(q, tiny_a)
+    leg1, leg2, a, log_a, _ = _leg_constants(tiny_a)
+    s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
+    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+    assert same_bits(t, s + u)
+    assert same_bits(nxt.theta_lifted, theta2 / a) and same_bits(nxt.log_coord, log_a + log2)
 
 
 @pytest.mark.parametrize("c", [5e-324, 0.1, 20, 1e300])

@@ -44,8 +44,8 @@ DIGESTS = {
     "edge.generate_hitting_sequence.delta81": "b660711e1ae1892d5e5bc39180843a18c0634e554961686ba780f01d00dce175",
     "edge.generate_hitting_sequence.tiny_a": "5874a3da31803d011c88d94987db04eed4f7a941a7d39b1a74a4b84760873384",
     "edge.poincare.axis": "73cf782e640a48aed0df4a8e0e0cbcd55ac8562f038c2406340cb0c2f0b6a8cf",
-    "edge.poincare.delta81": "cdfd232bec7c5179fbca010b9b03291267c1754d08cebdc66f98a7edd564943c",
-    "edge.poincare.tiny_a": "3d963b7b017aab49e45974d978e1612fb4ed955cc77b557860be22bdb29010ad",
+    "edge.poincare.delta81": "b660711e1ae1892d5e5bc39180843a18c0634e554961686ba780f01d00dce175",
+    "edge.poincare.tiny_a": "5874a3da31803d011c88d94987db04eed4f7a941a7d39b1a74a4b84760873384",
 }
 
 

@@ -84,6 +84,8 @@ class AdjustedTimes:
 # passes over every chain before the merge test (see _carry_back)
 _HEAD_PASSES = 16
 
+_NEG_INF, _INF = LD(-np.inf), LD(np.inf)
+
 
 def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
     """Carry each ``T[i]`` back ``i`` chain steps, copying chains that merge.
@@ -175,15 +177,21 @@ def adjusted_sequence(
 
     delta, tau_log_a = d.delta, d.invariants.tau_log_a
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        seq = [T0]
+        # past the measured loops, the recursion stops at its first duration
+        # that is not finite: that loop is refused, and no later one is reached
+        x, seq = T0, [T0]
         for _ in range(1, max(n, len(T))):
-            seq.append(delta * seq[-1] - tau_log_a)
+            x = delta * x - tau_log_a
+            seq.append(x)
+            if not (_NEG_INF < x < _INF) and len(seq) >= len(T):
+                break
         T_seq_full = np.array(seq, dtype=LD)
         offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)
 
-        t_even_zero = np.empty(n + 1, dtype=LD)
+        m = min(n, len(seq))
+        t_even_zero = np.empty(m + 1, dtype=LD)
         t_even_zero[0] = LD(0.0)
-        np.cumsum(T_seq_full[:n], out=t_even_zero[1:])
+        np.cumsum(T_seq_full[:m], out=t_even_zero[1:])
         t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)
         t_even, t_odd = t_even_zero + offset, t_odd_zero + offset
     # loop k ends at t_even[k+1]; a duration or zero-anchored time of loop

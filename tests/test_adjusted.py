@@ -243,8 +243,9 @@ def test_a_grid_past_the_long_double_range_is_refused():
     h = generate_hitting_sequence(SEED, P, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidTimes, match=r"adjusted loop 8191 is not finite: .* n=10000"):
-            adjusted_sequence(h, D, 10000)
+        for n in (10000, 10**6):
+            with pytest.raises(InvalidTimes, match=rf"adjusted loop 8191 is not finite: .* n={n}$"):
+                adjusted_sequence(h, D, n)
         assert np.isfinite(adjusted_sequence(h, D, 8191).t_even[-1])
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._num import LD, asld
-from .errors import ConstraintViolation, InsufficientData
+from .errors import ConstraintViolation, DegenerateInput, InsufficientData
 from .flow import SectionPoint, _sojourn_logs
 from .hitting import generate_hitting_sequence
 from .params import (
@@ -151,6 +151,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CLIP = 60.0
 _SEG_SPAN = 10.0
 
+# a smooth leg of length L, expansion rate E and value g fits the float64
+# arithmetic of the quadrature while L*max(2, E, |g| + |g_boundary - g|) stays
+# below this: its node sums a + b, its entry log -E*L and its integral, below
+# (|g| + |g_boundary - g|)*L, are all finite, with a hundredth for rounding
+_FLOAT64_HOLD = LD(0.99) * LD(np.finfo(np.float64).max)
+
 
 def _segments(lo: np.ndarray, hi: np.ndarray, n_seg: np.ndarray):
     """The segments of ``np.linspace(lo[i], hi[i], n_seg[i] + 1)`` for all ``i``, flat.
@@ -227,7 +233,10 @@ def birkhoff_average(
     piecewise-constant kind the running integral is an exact interleaved
     sojourn sum; for the smooth kind each leg is integrated to a relative
     accuracy far beyond 1e-8, all legs of a cylinder in one array pass,
-    and accumulated the same way.
+    and accumulated the same way.  The smooth quadrature runs in float64:
+    a leg too long for it (see ``_FLOAT64_HOLD``) is refused, before any
+    leg is integrated, as :class:`~bykov.errors.DegenerateInput` naming
+    the first such leg.
     """
     if _check_count(upto_index, "upto_index") < 1:
         raise InsufficientData(f"upto_index must be at least 1, got {upto_index}")
@@ -243,6 +252,20 @@ def birkhoff_average(
          h.sojourns_V1[: (upto_index + 1) // 2], p.E1, p.C1),
         (G.g_sigma2, h.log_coord[1:upto_index:2], h.sojourns_V2[: upto_index // 2], p.E2, p.C2),
     )
+    if G.kind == "smooth":  # refuse the first leg, in time, that float64 cannot hold
+        past = [
+            (2 * j + k + 1, sojourns[j])  # V1 legs end on odd crossings, V2 legs on even
+            for k, (g_sigma, _, sojourns, expand, _) in enumerate(rows)
+            for j in np.flatnonzero(sojourns > _FLOAT64_HOLD / max(
+                2.0, expand, abs(g_sigma) + abs(G.boundary_value - g_sigma)))[:1]
+        ]
+        if past:
+            end, length = min(past)
+            raise DegenerateInput(
+                f"the leg ending at crossing {end} lasts "
+                f"{np.format_float_scientific(length, precision=3)}, more than the float64 "
+                "nodes of the smooth quadrature can hold"
+            )
     increments = np.empty(upto_index, dtype=LD)
     for k, (g_sigma, log_in, sojourns, expand, contract) in enumerate(rows):
         if G.kind == "piecewise_constant":

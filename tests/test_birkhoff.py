@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from bykov import (
     ConstraintViolation,
+    DegenerateInput,
     InsufficientData,
     Observable,
     SystemParams,
@@ -20,7 +23,7 @@ from bykov import (
 )
 import bykov.params
 from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value
-from reference import LD, P, PP, SEED, draw_orbit
+from reference import LD, P, PP, SEED, _encode, draw_orbit
 INDICATOR = Observable(kind="piecewise_constant", g_sigma1=0.0, g_sigma2=1.0)
 
 # arbitrary-precision references for the running average sampled at the
@@ -302,6 +305,30 @@ def test_smooth_average_refuses_an_exponent_whose_rates_leave_the_float_range():
         for m, p in ((1e308, P), (5e-324, slow)):
             with pytest.raises(ConstraintViolation, match="e-folding rates"):
                 birkhoff_average(SEED, p, Observable("smooth", 0.0, 1.0, m=m), 8)
+
+
+def test_a_smooth_leg_past_the_float64_range_is_refused():
+    # on the canonical orbit leg 1023 (a V1 leg) lasts 1.45e308, below the
+    # float64 maximum but above half of it, where the node sums overflow
+    G = Observable("smooth", 0.0, 1.0, m=2.0)
+    s = birkhoff_average(SEED, P, G, 1022)
+    # the sha256 of its value bytes before the refusal was added
+    assert hashlib.sha256(_encode(s)).hexdigest() == (
+        "237d1433f47889a3f9ef7d78d1abcb83581893ce6c4e6f29d2f405d347262753"
+    )
+    message = ("the leg ending at crossing {} lasts {}, more than the float64 nodes "
+               "of the smooth quadrature can hold")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for upto in (1023, 1024, 2000):  # the first such leg is named
+            with pytest.raises(DegenerateInput, match=re.escape(message.format(1023, "1.450e+308"))):
+                birkhoff_average(SEED, P, G, upto)
+        # a larger value reaches its float64 limit first in leg 1022, of V2
+        with pytest.raises(DegenerateInput, match=re.escape(message.format(1022, "4.834e+307"))):
+            birkhoff_average(SEED, P, Observable("smooth", 0.0, 4.0, m=2.0), 1023)
+        # the piecewise averages are sums of long doubles and go on
+        s = birkhoff_average(SEED, P, INDICATOR, 1023)
+    assert np.isfinite(s.odd_averages[-1]) and s.odd_times[-1] > 1.4e308
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

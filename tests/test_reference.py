@@ -8,11 +8,13 @@ moved.  They hold for the 80-bit x86-64 ``longdouble`` only.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 import reference
-from bykov import corollary_ratios, generate_hitting_sequence
+from bykov import BykovError, corollary_ratios, generate_hitting_sequence
 from reference import LD, P, SEED, _encode, same_bits
 
 DIGESTS = {
@@ -38,7 +40,7 @@ DIGESTS = {
     "poincare.n64": "878c5b28e0ac575ef39dc915b52e9eea78edb185313df3828f6dcb8de33b65d3",
     "shift_invariance_check.n64": "10804ad11190ffab3f9ec182a979ad9574fe69a541440696ac22a220ee613710",
     # inputs that the random draws never reach (reference.EDGE_CASES)
-    "edge.birkhoff_average.smooth": "29ef825583430c978fcb80d601f89d4331234449168e8daa9e157fbadea767ba",
+    "edge.birkhoff_average.smooth": "5f20918a45b526fc282370006a8b293265c8224a93daad50f789d4e5e84f28b5",
     "edge.estimate_invariants.near_one": "b1a64ac447109a1121a38182c1c4afbb7b1b256c2ac27f3c434dcbb31f9dc827",
     "edge.generate_hitting_sequence.axis": "73cf782e640a48aed0df4a8e0e0cbcd55ac8562f038c2406340cb0c2f0b6a8cf",
     "edge.generate_hitting_sequence.delta81": "b660711e1ae1892d5e5bc39180843a18c0634e554961686ba780f01d00dce175",
@@ -53,6 +55,16 @@ def test_every_public_output_keeps_its_digest():
     got = reference.digest()
     moved = sorted(name for name in DIGESTS.keys() | got.keys() if got.get(name) != DIGESTS.get(name))
     assert not moved, f"outputs whose bits moved: {moved}"
+
+
+@pytest.mark.parametrize("name, f, args", reference.EDGE_CASES, ids=[c[0] for c in reference.EDGE_CASES])
+def test_an_edge_case_returns_or_refuses_without_a_warning(name, f, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f(*args)
+        except BykovError:
+            pass
 
 
 def test_padding_bytes_are_not_compared():

@@ -21,11 +21,11 @@ Four cross-sections bound the sojourns:
 
 The local transition maps ``Phi1`` and ``Phi2`` are written once, as the
 two legs of one return step that :func:`poincare` and the hitting-time
-generator share; ``psi21`` models the global reinjection: heights shrink by the factor
-``a`` and angles are scaled by ``1/a``.  All coordinates are kept in log
-space; the heights involved decay like ``exp(-delta^n)`` and would leave
-double precision (let alone linear coordinates) within a handful of
-loops.
+generator share.  ``psi21`` models the global reinjection: heights shrink
+by the factor ``a`` and angles are scaled by ``1/a``.  All coordinates
+are kept in log space; the heights involved decay like ``exp(-delta^n)``
+and would leave double precision (let alone linear coordinates) within a
+handful of loops.
 
 Angles are tracked as *lifted* reals, never reduced mid-computation: the
 winding over one sojourn grows with the sojourn length, and the reduced
@@ -121,11 +121,12 @@ _LD_MAX = np.finfo(LD).max
 
 @functools.lru_cache(maxsize=128)
 def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble, tuple]:
-    """Kernel constants ``(expand, saddle, twist, c, eps, cut)`` of both legs, ``a``, ``ln a``, the reach.
+    """``(leg1, leg2, a, ln a, reach)``: the kernel constants of one parameter set.
 
-    Derived once per parameter set and memoized; ``derive_constants``
-    validates ``p`` first, so an invalid set is never stored.  No
-    perturbation is the zero one.  ``saddle`` is the leg's saddle index
+    Each leg is ``(expand, saddle, twist, c, eps, cut)``.  Derived once per
+    parameter set and memoized; ``derive_constants`` validates ``p``
+    first, so an invalid set is never stored.  No perturbation is the
+    zero one.  ``saddle`` is the leg's saddle index
     ``delta1 = C1/E1`` or ``delta2 = C2/E2``.  ``cut`` is the entry
     log-coordinate below which the leg's perturbation has underflowed:
     ``(ln(smallest subnormal) - 2) / (saddle*eps)``, or ``+inf`` when
@@ -263,10 +264,10 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
         return SectionPoint("In1", theta2 / a, log_a + log2), s + u
     with np.errstate(over="ignore", invalid="ignore"):
         s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
-        q, t = SectionPoint("In1", theta2 / a, log_a + log2), s + u
+        out, t = SectionPoint("In1", theta2 / a, log_a + log2), s + u
     if not t < _INF:
         raise DegenerateInput(f"return time is not finite: {t}")
-    return q, t
+    return out, t
 
 
 _SNAP_ULPS = LD(64.0) * np.finfo(LD).eps

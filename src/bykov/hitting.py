@@ -8,9 +8,7 @@ import numpy as np
 
 from ._num import LD
 from .errors import DegenerateInput, InsufficientData
-from .flow import (
-    SectionPoint, _check_crossing, _half_transition, _leg_constants, _return_legs,
-)
+from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants, _return_legs
 from .params import SystemParams, _check_count
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]

@@ -120,28 +120,28 @@ def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
 
 
 def _near_one_estimate():
-    return bykov.estimate_invariants(bykov.generate_hitting_sequence(SEED, _NEAR_ONE, 12))
+    near_one = dataclasses.replace(P, C1=1.05, E1=1, C2=1.05, E2=1)  # delta = 1.1025
+    return bykov.estimate_invariants(bykov.generate_hitting_sequence(SEED, near_one, 12))
 
 
-_TINY_A = dataclasses.replace(P, a=1e-300)  # the reinjected angle overflows at once
-_DELTA81 = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5)
-_AXIS = dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5))
-_NEAR_ONE = dataclasses.replace(P, C1=1.05, E1=1, C2=1.05, E2=1)  # delta = 1.1025
+# (seed, system, loops) of orbits that leave the model's range: the
+# reinjected angle overflows; the log height overflows at return 2585;
+# the orbit enters V1 at angle pi, where the radius correction is -22.5
+_ORBITS = {
+    "tiny_a": (SEED, dataclasses.replace(P, a=1e-300), 40),
+    "delta81": (SectionPoint("Out2", 0.0, -1.0),
+                SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5), 2600),
+    "axis": (SectionPoint("Out2", np.pi / 2, np.log(0.9)),
+             dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5)), 4),
+}
 
 # (name, call, arguments) of inputs that the random draws never reach
 EDGE_CASES = (
-    ("edge.poincare.tiny_a", iterated_poincare, (SEED, _TINY_A, 40)),
-    ("edge.generate_hitting_sequence.tiny_a", bykov.generate_hitting_sequence, (SEED, _TINY_A, 40)),
-    # the log height overflows to -inf at return 2585
-    ("edge.poincare.delta81", iterated_poincare, (SectionPoint("Out2", 0.0, -1.0), _DELTA81, 2600)),
-    ("edge.generate_hitting_sequence.delta81", bykov.generate_hitting_sequence,
-     (SectionPoint("Out2", 0.0, -1.0), _DELTA81, 2600)),
-    # reinjected onto In1 at angle pi, where the radius correction is -22.5
-    ("edge.poincare.axis", iterated_poincare, (SectionPoint("Out2", np.pi / 2, np.log(0.9)), _AXIS, 4)),
-    ("edge.generate_hitting_sequence.axis", bykov.generate_hitting_sequence,
-     (SectionPoint("Out2", np.pi / 2, np.log(0.9)), _AXIS, 4)),
+    *((f"edge.poincare.{case}", iterated_poincare, orbit) for case, orbit in _ORBITS.items()),
+    *((f"edge.generate_hitting_sequence.{case}", bykov.generate_hitting_sequence, orbit)
+      for case, orbit in _ORBITS.items()),
     ("edge.estimate_invariants.near_one", _near_one_estimate, ()),
-    # leg 1023 is 1.45e308, past half the float64 range
+    # leg 1023 lasts 1.45e308, past half the float64 range
     ("edge.birkhoff_average.smooth", bykov.birkhoff_average,
      (SEED, P, Observable("smooth", 0.0, 1.0, m=2), 1023)),
 )

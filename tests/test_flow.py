@@ -324,14 +324,9 @@ def test_perturbation_cannot_push_through_axis():
     # a correction of relative size < -1 would mean a negative radius
     pp = dataclasses.replace(P, perturbation=PerturbationSpec(c1=50.0, c2=0.0, eps=0.5))
     q = SectionPoint(chart="In1", theta_lifted=float(np.pi), log_coord=float(np.log(0.45)))
-    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis; 1 \\+ -22.5 <= 0"):
+    message = "radius correction reaches the spiral axis; 1 + -22.5 <= 0"
+    with pytest.raises(DegenerateInput, match=re.escape(message)):
         poincare(q, pp)
-    # the reinjected seed on Out2 at angle pi/2 enters V1 at pi, as in the generator
-    seed = SectionPoint(chart="Out2", theta_lifted=np.pi / 2, log_coord=np.log(0.9))
-    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis"):
-        poincare(psi21(seed, pp), pp)
-    with pytest.raises(DegenerateInput, match="radius correction reaches the spiral axis"):
-        generate_hitting_sequence(seed, pp, 1)
 
 
 # the linear flow inside V1, entered from In1: the height grows, the radius fades

@@ -253,12 +253,12 @@ def birkhoff_average(
         (G.g_sigma2, h.log_coord[1:upto_index:2], h.sojourns_V2[: upto_index // 2], p.E2, p.C2),
     )
     if G.kind == "smooth":  # refuse the first leg, in time, that float64 cannot hold
-        past = [
-            (2 * j + k + 1, sojourns[j])  # V1 legs end on odd crossings, V2 legs on even
-            for k, (g_sigma, _, sojourns, expand, _) in enumerate(rows)
-            for j in np.flatnonzero(sojourns > _FLOAT64_HOLD / max(
-                2.0, expand, abs(g_sigma) + abs(G.boundary_value - g_sigma)))[:1]
-        ]
+        past = []
+        for k, (g_sigma, _, sojourns, expand, _) in enumerate(rows):
+            scale = max(2.0, expand, abs(g_sigma) + abs(G.boundary_value - g_sigma))
+            # V1 legs end on the odd crossings, V2 legs on the even ones
+            past += [(2 * j + k + 1, sojourns[j])
+                     for j in np.flatnonzero(sojourns > _FLOAT64_HOLD / scale)[:1]]
         if past:
             end, length = min(past)
             raise DegenerateInput(

@@ -20,9 +20,9 @@ the equilibrium value to a common boundary value with profile
 ``max(rho, |z|)**m``.  It is integrated numerically, by composite
 Gauss-Legendre on the composed function ``G(flow(t))`` (never on the
 closed-form leg integrals the tests check it against), with one array
-pass per orbit: every node of every leg in a cylinder at once.  The
-bitwise reference for that pass is the longhand scalar flow, node by
-node, in ``tests/test_birkhoff.py``.
+pass per orbit: the linear flow of a cylinder, evaluated at every node
+of every leg at once.  The bitwise reference for that pass is the
+longhand scalar flow, node by node, in ``tests/test_birkhoff.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import ConstraintViolation, DegenerateInput, InsufficientData
-from .flow import SectionPoint, _sojourn_logs
+from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
 from .params import (
     DerivedConstants, SystemParams, _check_count, _check_tol, derive_constants,
@@ -189,9 +189,13 @@ def _smooth_leg_integrals(
     the two log-coordinates cross.  Each monotone piece is clipped to its
     contributing window and integrated by composite Gauss-Legendre on the
     *actual* composed function ``G(flow(t))``, the linear flow evaluated
-    by :func:`~bykov.flow._sojourn_logs` at every node of every leg in one
-    array pass.  No closed forms are consumed here, so tests can check
-    this route against them independently.  Each segment's 32-node
+    here in long double at every node of every leg in one array pass.  No
+    closed forms are consumed here, so tests can check this route against
+    them independently.  The nodes lie in ``[0, leg_len]``, and each
+    ``leg_len`` is the sojourn ``-log_in/expand`` rounded to float64, so a
+    node passes the exit by half a float64 ulp at most and is clamped onto it;
+    within the float64 hold of :func:`birkhoff_average` no state leaves
+    the unit cylinder or the float range.  Each segment's 32-node
     weighted sum is taken left to right (``cumsum``, not a pairwise
     ``sum``) and ``bincount`` adds each piece's segments in order, so
     every leg integral equals, bit for bit, a node-by-node loop that
@@ -215,9 +219,13 @@ def _smooth_leg_integrals(
     n_seg = np.maximum(1, np.ceil(e_folds / _SEG_SPAN).astype(int))
     piece, mid, half = _segments(lo, hi, n_seg)
 
-    entry = log_in[piece % leg_len.size, None]
-    t = mid[:, None] + half[:, None] * _GL_NODES
-    _, growing, fading = _sojourn_logs(t, entry, asld(expand), asld(contract))
+    # an expanding log-coordinate that the rounded multiply-add lands within
+    # 64 ulps of |entry| above the boundary is on it
+    entry, E = log_in[piece % leg_len.size, None], asld(expand)
+    t = np.minimum((mid[:, None] + half[:, None] * _GL_NODES).astype(LD), -entry / E)
+    growing = entry + E * t
+    growing[(0 < growing) & (growing < 64 * np.finfo(LD).eps * np.maximum(1, abs(entry)))] = 0
+    fading = 0 - asld(contract) * t
     f = _profile_value(G, g_sigma, growing, fading) - g_sigma
     sums = np.cumsum(f * _GL_WEIGHTS, axis=1)[:, -1]
     pieces = np.bincount(piece, weights=half * sums, minlength=lo.size)

@@ -23,10 +23,10 @@ class ConstraintViolation(BykovError):
 
 
 class DegenerateInput(BykovError):
-    """A section point, seed or flow state the maps cannot handle.
+    """A section point, seed or orbit the maps cannot handle.
 
-    It sits on a boundary, is not finite, or, for the flow inside a
-    cylinder, is asked for at a time outside its sojourn.
+    A point sits on a boundary, on the wrong chart, or is not finite; or
+    an orbit from it leaves the range that its arithmetic can hold.
     """
 
 

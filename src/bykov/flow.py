@@ -79,13 +79,6 @@ class SectionPoint:
         _check_crossing(self.theta_lifted, self.log_coord)
 
 
-def _check_state(growing, fading) -> None:
-    """Flow states, as log-coordinate arrays, are finite."""
-    for name, v in (("growing", growing), ("fading", fading)):
-        if not np.isfinite(v).all():
-            raise DegenerateInput(f"{name} log-coordinate is not finite")
-
-
 # long-double bounds for the per-crossing checks: a comparison with a
 # long double of its own type takes half the time of one with ``-np.inf``
 # (a global lookup, a negation and a mixed-type comparison) or ``0.0``
@@ -268,52 +261,3 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     if not t < _INF:
         raise DegenerateInput(f"return time is not finite: {t}")
     return out, t
-
-
-_SNAP_ULPS = LD(64.0) * np.finfo(LD).eps
-
-
-def _snap_boundary(log_val: np.ndarray, scale) -> np.ndarray:
-    """Collapse ulp-sized positive overshoots of a log-coordinate to 0, in place.
-
-    At ``t = t_exit`` the expanding coordinate reaches the unit boundary
-    by definition; the rounded multiply-add may land a few ulps above it
-    (relative to the magnitudes cancelled, hence the ``scale`` argument),
-    a state just outside the unit cylinder.  Genuine excursions are
-    never this small because ``t`` is range-checked first.
-    """
-    tol = _SNAP_ULPS * np.maximum(LD(1.0), abs(scale))
-    log_val[(0.0 < log_val) & (log_val < tol)] = 0.0
-    return log_val
-
-
-def _sojourn_logs(t, log_in, expand, contract):
-    """The linear flow's ``(t, growing, fading)`` at times ``t`` into a sojourn.
-
-    The one evaluator of the flow inside a cylinder, in leg terms: the
-    entry coordinate, of log ``log_in``, grows at rate ``expand`` to the
-    unit boundary, reached at ``t_exit = -log_in / expand``; the other
-    fades from it at rate ``contract``, as ``0 - contract*t`` (``+0`` at
-    ``t = 0``).  ``t`` (any shape, at least 1-d on return) is broadcast
-    against ``log_in``.  A time past ``t_exit`` by at most one float64 ulp
-    of ``t_exit`` is that exit time (a float64 time rounded from a
-    long-double sojourn may land there); any other time outside
-    ``[0, t_exit]`` raises :class:`~bykov.errors.DegenerateInput`.  That
-    keeps both states in the unit cylinder, so only finiteness is checked.
-    """
-    t = np.array(t, dtype=LD, ndmin=1)
-    t_exit = -log_in / expand
-    if not ((0.0 <= t) & (t <= t_exit)).all():
-        t_exit = np.broadcast_to(t_exit, t.shape)
-        over = (t > t_exit) & (t - t_exit <= np.spacing(t_exit.astype(float)))
-        np.copyto(t, t_exit, where=over)
-        outside = ~((0.0 <= t) & (t <= t_exit))
-        if outside.any():
-            i = np.flatnonzero(outside)[0]
-            raise DegenerateInput(
-                f"t={float(t.flat[i])} outside the sojourn window [0, {float(t_exit.flat[i])}]"
-            )
-    growing = _snap_boundary(log_in + expand * t, log_in)
-    fading = _ZERO - contract * t
-    _check_state(growing, fading)
-    return t, growing, fading

@@ -88,6 +88,10 @@ def generate_hitting_sequence(
         increasing = np.all(np.diff(times) > 0)
     if not increasing:
         raise DegenerateInput("hitting times failed to increase strictly")
+    # an infinite time before the last makes a difference NaN, refused above;
+    # the last one can overflow alone, when the closing sojourn is added
+    if not times[-1] < np.inf:
+        raise DegenerateInput(f"the hitting time of crossing {n - 1} is not finite: {times[-1]}")
     return HittingSequence(
         times=times,
         theta=theta,

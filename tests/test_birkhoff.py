@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import re
 import warnings
@@ -174,14 +175,15 @@ def test_smooth_long_orbit_matches_exponential_integrals():
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
-def _longhand_flow_value(G, g, cylinder, entry, t, p):
+def _longhand_flow_value(G, g, cylinder, entry, t, p, counts):
     """``G`` at float64 time ``t`` into a sojourn entered at log-coordinate ``entry``.
 
     The linear flow written out in scalar long double: the contracting
     log-coordinate is ``-C*t``, the expanding one ``entry + E*t``.  A time
     at most one float64 ulp past the exit time is the exit time, and an
     expanding coordinate that lands within ``64*eps*max(1, |entry|)`` above
-    the boundary is on it.  The profile is evaluated in float64.
+    the boundary is on it; ``counts`` tallies these ``"clamp"`` and
+    ``"snap"`` edits.  The profile is evaluated in float64.
     """
     if cylinder == "V1":
         contract, expand = LD(p.C1), LD(p.E1)
@@ -191,15 +193,17 @@ def _longhand_flow_value(G, g, cylinder, entry, t, p):
     t_exit = -entry / expand
     if t > t_exit and t - t_exit <= np.spacing(float(t_exit)):
         t = t_exit
+        counts["clamp"] += 1
     fading = LD(0.0) - contract * t
     growing = entry + expand * t
     if 0.0 < growing < LD(64.0) * np.finfo(LD).eps * max(LD(1.0), abs(entry)):
         growing = LD(0.0)
+        counts["snap"] += 1
     rho, z = (fading, growing) if cylinder == "V1" else (growing, fading)
     return g + (G.boundary_value - g) * np.exp(float(G.m) * float(max(rho, z)))
 
 
-def _longhand_leg_integral(G, cylinder, entry, leg_len, p):
+def _longhand_leg_integral(G, cylinder, entry, leg_len, p, counts):
     """One smooth leg integral, node by node with the longhand scalar flow.
 
     Composite Gauss-Legendre over ``G(flow(t))`` on the clipped decaying
@@ -222,7 +226,7 @@ def _longhand_leg_integral(G, cylinder, entry, leg_len, p):
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             piece += half * sum(
-                w * (_longhand_flow_value(G, g, cylinder, entry, mid + half * x, p) - g)
+                w * (_longhand_flow_value(G, g, cylinder, entry, mid + half * x, p, counts) - g)
                 for x, w in zip(_GL_X, _GL_W)
             )
         total += piece
@@ -237,6 +241,7 @@ def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
     canonical = Observable(kind="smooth", g_sigma1=1.0, g_sigma2=4.0, m=2.0, g_boundary=2.5)
     orbits += [(SEED, PP if perturbed else P, canonical, 64),
                (*draw_orbit(rng, perturbed, smooth=True), 64)]
+    counts = collections.Counter()
     for q0, p, G, n in orbits:
         h = generate_hitting_sequence(q0, p, n // 2)
         increments = np.empty(n, dtype=LD)
@@ -247,11 +252,14 @@ def test_smooth_averages_match_longhand_quadrature_bitwise(perturbed):
             else:  # V2 leg, radius glued unchanged from Out1 to In2
                 cylinder, entry = "V2", h.log_coord[j]
                 leg = h.sojourns_V2[j // 2]
-            increments[j] = _longhand_leg_integral(G, cylinder, entry, float(leg), p)
+            increments[j] = _longhand_leg_integral(G, cylinder, entry, float(leg), p, counts)
         reference = np.cumsum(increments) / h.times[1 : n + 1]
         s = birkhoff_average(q0, p, G, upto_index=n)
         assert np.array_equal(s.odd_averages, reference[0::2])
         assert np.array_equal(s.even_averages, reference[1::2])
+    # both edits of the longhand flow are exercised, so the bitwise match
+    # covers the quadrature's clamp onto the exit and its snap onto the wall
+    assert counts["clamp"] > 0 and counts["snap"] > 0, counts
 
 
 def test_smooth_average_validates_params_a_fixed_number_of_times(monkeypatch):

@@ -1,4 +1,4 @@
-"""Section charts, half transitions, the return map, and interior flow."""
+"""Section charts, half transitions and the return map."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from bykov import (
     psi21,
 )
 from bykov._num import asld
-from bykov.flow import _half_transition, _leg_constants, _sojourn_logs
+from bykov.flow import _half_transition, _leg_constants
 from reference import LD, P, PP, half_transition, same_bits
 
 
@@ -327,59 +327,3 @@ def test_perturbation_cannot_push_through_axis():
     message = "radius correction reaches the spiral axis; 1 + -22.5 <= 0"
     with pytest.raises(DegenerateInput, match=re.escape(message)):
         poincare(q, pp)
-
-
-# the linear flow inside V1, entered from In1: the height grows, the radius fades
-V1_RATES = (LD(P.E1), LD(P.C1))
-
-
-def test_sojourn_logs_start_on_the_wall_and_end_on_the_lid():
-    z_log = LD(np.log(0.05))
-    _, z, rho = _sojourn_logs(0.0, z_log, *V1_RATES)
-    np.testing.assert_array_equal([float(rho[0]), float(z[0])], [0.0, float(z_log)])
-    t_exit = -z_log / LD(P.E1)
-    _, z, rho = _sojourn_logs(t_exit, z_log, *V1_RATES)
-    assert float(z[0]) == 0.0  # exactly on the lid
-    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
-        _sojourn_logs(float(t_exit) * 1.01, z_log, *V1_RATES)
-    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
-        _sojourn_logs(-0.1, z_log, *V1_RATES)
-    # in V2, entered from In2, the rounded multiply-add overshoots the wall
-    rho_log, rates = LD(-15.518991359192194), (LD(1.71845667068446), LD(3.0))
-    t_exit2 = -rho_log / rates[0]
-    assert rho_log + rates[0] * t_exit2 > 0.0
-    assert _sojourn_logs(t_exit2, rho_log, *rates)[1][0] == 0.0  # snapped
-
-
-def test_sojourn_logs_take_a_float64_exit_time_rounded_up():
-    # a long sojourn: its float64 exit time may lie above the long-double one
-    z_log = LD("-18922045849271.07")
-    t_exit = -z_log / LD(P.E1)
-    t_up = float(t_exit)
-    if LD(t_up) <= t_exit:
-        t_up = np.nextafter(t_up, np.inf)
-    assert LD(t_up) > t_exit
-    t, z, rho = _sojourn_logs(t_up, z_log, *V1_RATES)
-    assert float(z[0]) == 0.0
-    assert t[0] == t_exit
-    assert rho[0] == _sojourn_logs(t_exit, z_log, *V1_RATES)[2][0]
-    two_ulps_up = np.nextafter(np.nextafter(t_up, np.inf), np.inf)
-    with pytest.raises(DegenerateInput, match="outside the sojourn window"):
-        _sojourn_logs(two_ulps_up, z_log, *V1_RATES)
-
-
-def test_flow_interior_is_linear_in_log():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        z0 = float(rng.uniform(1e-6, 0.9))
-        z_log = LD(float(np.log(z0)))
-        t_exit = float(-z_log / LD(P.E1))
-        t = rng.uniform(0, t_exit)
-        _, z, rho = _sojourn_logs(t, z_log, *V1_RATES)
-        np.testing.assert_allclose(float(rho[0]), -P.C1 * t, rtol=1e-14, atol=1e-16)
-        np.testing.assert_allclose(float(z[0]), float(z_log) + P.E1 * t, rtol=1e-14, atol=1e-16)
-
-
-def test_flow_state_validation():
-    with pytest.raises(DegenerateInput, match="growing log-coordinate is not finite"):
-        _sojourn_logs(0.0, LD(-np.inf), *V1_RATES)

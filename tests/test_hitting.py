@@ -232,16 +232,17 @@ def _outcome(run):
     """``("ok", value)``, or ``("refused", type name, message)`` for a BykovError.
 
     NumPy's overflow warnings are recorded rather than raised here, so that
-    a refusal is seen as the caller sees it; a result must come without any.
+    a refusal is seen as the caller sees it; a result and a refusal alike
+    must come without any.
     """
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
-            value = run()
+            outcome = "ok", run()
         except BykovError as e:
-            return "refused", type(e).__name__, str(e)
+            outcome = "refused", type(e).__name__, str(e)
     assert not seen, [str(w.message) for w in seen]
-    return "ok", value
+    return outcome
 
 
 _delta = st.floats(1.0, 4.0, exclude_min=True)
@@ -330,3 +331,36 @@ def test_an_overflowing_orbit_is_refused_under_warnings_as_errors():
                     lambda: verify_conjugacy(SEED, p, p, 40)):
             with pytest.raises(DegenerateInput, match=message):
                 run()
+
+
+def test_an_infinite_last_time_is_refused():
+    # every sojourn is finite, but the closing one takes the sum of them past
+    # the long-double range; an earlier infinite time would make a difference NaN
+    p = SystemParams(C1=1.01e-300, E1=1e-300, omega1=5e-324,
+                     C2=1.01e-300, E2=1e-300, omega2=5e-324, a=0.5)
+    seed = SectionPoint("Out2", 0.0, LD("-4.5e4631"))
+    message = "the hitting time of crossing 3 is not finite: inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: generate_hitting_sequence(seed, p, 1),
+                    lambda: birkhoff_average(seed, p, Observable("piecewise_constant", 0.0, 1.0), 3)):
+            with pytest.raises(DegenerateInput, match=message):
+                run()
+
+
+_g = st.floats(-1e300, 1e300)
+
+
+@given(**_ORBITS, g1=_g, g2=_g, m=st.floats(1e-3, 1e3), upto_index=st.integers(1, 200))
+def test_smooth_averages_return_or_refuse_without_a_warning(g1, g2, m, upto_index, **draw):
+    # the quadrature evaluates the flow unchecked: within the float64 hold no
+    # node state leaves the cylinder or the float range, so a result is finite
+    seed, p = _drawn_orbit(**draw)
+    G = Observable("smooth", g1, g2, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = birkhoff_average(seed, p, G, upto_index)
+        except BykovError:
+            return
+    assert np.isfinite(s.even_averages).all() and np.isfinite(s.odd_averages).all()

@@ -237,7 +237,9 @@ def birkhoff_average(
 ) -> AverageSeries:
     """Time averages of ``G`` at every hitting time through ``upto_index``.
 
-    The orbit starts at the ``Out2`` seed ``q0`` at time zero.  For the
+    The orbit starts at the ``Out2`` seed ``q0`` at time zero; it is
+    ``generate_hitting_sequence(q0, p, max(1, upto_index // 2))``, the
+    very sequence the caller holds if it holds one.  For the
     piecewise-constant kind the running integral is an exact interleaved
     sojourn sum; for the smooth kind each leg is integrated to a relative
     accuracy far beyond 1e-8, all legs of a cylinder in one array pass,

@@ -125,13 +125,24 @@ def verify_conjugacy(
     restricted to the sections, and its flow extension holds by
     construction between crossings.
 
+    The source orbit is ``generate_hitting_sequence(q0, p, n_pairs)``,
+    the very sequence the caller holds if it holds one; only ``g``'s
+    orbit is generated anew.
+
     With ``strict=True`` (default) any of the four invariants of ``p``
     and ``g`` differing by more than 1e-9 raises
     :class:`~bykov.errors.InvariantMismatch`: the construction is only
     meaningful inside one conjugacy class.  ``strict=False`` runs the
-    replay anyway, which is how one observes the geometric divergence
-    separating non-conjugate systems; the verdict then simply comes back
-    false.  ``n_pairs`` must be an integer and ``tol`` positive and finite.
+    replay anyway.  The replay compares hitting times only, so it sees
+    what the times carry: the saddle indices ``gamma1``, ``gamma2`` and
+    ``tau*ln(a)``.  A partner that differs in one of those diverges, and
+    the verdict comes back false.  It cannot see the twist combination
+    ``omega_combo``: the times of an idealized partner do not depend on
+    its angles, so a partner that differs only there replays the
+    schedule to rounding and the verdict comes back true (``omega1`` of
+    ``MATCHED_PARAMS`` scaled by 1.001: ``max_dev`` 9.5e-20).  Only the
+    strict check, which compares parameters and not dynamics, refuses
+    it.  ``n_pairs`` must be an integer and ``tol`` positive and finite.
     """
     _check_count(n_pairs, "n_pairs")
     _check_tol(tol)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ class HittingSequence:
     first cylinder, ``sojourns_V2`` the ``n_pairs`` passages through the
     second; ``times`` is exactly the cumulative sum of the interleaved
     sojourns (the gluing and the reinjection take no time).
+
+    The five arrays of a generated sequence are read-only: writing into
+    one raises ``ValueError``.  :func:`generate_hitting_sequence` hands
+    one sequence to every equal request while it is alive, so no caller
+    may change it for the others.
     """
 
     times: np.ndarray
@@ -41,6 +47,11 @@ class HittingSequence:
     sojourns_V1: np.ndarray
     sojourns_V2: np.ndarray
     n_pairs: int
+
+
+# the orbits alive somewhere in the process, by request; an orbit every caller
+# has dropped leaves, so nothing here keeps one alive
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def generate_hitting_sequence(
@@ -52,13 +63,30 @@ def generate_hitting_sequence(
     sojourn (ending on ``Out1``) and one ``V2`` sojourn (ending on
     ``Out2``); a final ``V1`` sojourn is appended so the sequence closes
     on an odd-indexed crossing, which several diagnostics need.
+
+    Equal requests share one orbit while it is alive: a seed with the same
+    angle (sign bit included, so ``-0.0`` is not ``+0.0``) and log
+    coordinate, equal parameters and the same loop count get the sequence
+    already generated, not a copy, which is why its arrays are read-only.
+    A refused request is not remembered and raises again.
     """
     if q0.chart != "Out2":
         raise DegenerateInput(
             f"seed must lie on Out2 (exit of the second cylinder), got {q0.chart}"
         )
-    if _check_count(n_pairs, "n_pairs") < 1:
+    n_pairs = _check_count(n_pairs, "n_pairs")
+    if n_pairs < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
+    th = q0.theta_lifted
+    key = (th, np.signbit(th), q0.log_coord, p, n_pairs)
+    h = _LIVE.get(key)
+    if h is None:
+        h = _LIVE[key] = _generate(q0, p, n_pairs)
+    return h
+
+
+def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequence:
+    """The generator's body: the orbit of a checked request, its arrays read-only."""
     leg1, leg2, a, log_a, _ = _leg_constants(p)
 
     n = 2 * n_pairs + 2
@@ -92,7 +120,7 @@ def generate_hitting_sequence(
     # the last one can overflow alone, when the closing sojourn is added
     if not times[-1] < np.inf:
         raise DegenerateInput(f"the hitting time of crossing {n - 1} is not finite: {times[-1]}")
-    return HittingSequence(
+    h = HittingSequence(
         times=times,
         theta=theta,
         log_coord=log_coord,
@@ -100,6 +128,9 @@ def generate_hitting_sequence(
         sojourns_V2=legs[1::2].copy(),
         n_pairs=n_pairs,
     )
+    for arr in (h.times, h.theta, h.log_coord, h.sojourns_V1, h.sojourns_V2):
+        arr.setflags(write=False)
+    return h
 
 
 def _legs(h: HittingSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import hashlib
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from bykov import (
     predicted_limits,
 )
 import bykov.params
-from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value
+from bykov.birkhoff import _CLIP, _SEG_SPAN, _profile_value, _smooth_leg_integrals
 from reference import LD, P, PP, SEED, _encode, draw_orbit
 INDICATOR = Observable(kind="piecewise_constant", g_sigma1=0.0, g_sigma2=1.0)
 
@@ -170,6 +171,48 @@ def test_smooth_long_orbit_matches_exponential_integrals():
     exact = np.cumsum(integrals) / np.asarray(h.times[1 : n + 1], float)
     np.testing.assert_allclose(np.asarray(s.odd_averages, float), exact[0::2], rtol=1e-13)
     np.testing.assert_allclose(np.asarray(s.even_averages, float), exact[1::2], rtol=1e-13)
+
+
+def _mpf(x):
+    """A long double as an mpmath number, exactly: its two float64 halves."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(LD(x) - LD(hi)))
+
+
+def _leg_integral_50_digits(g_s, g_b, m, contr, expand, entry):
+    """``(integral, scale)`` of the smooth observable over one leg, at 50 digits.
+
+    The closed form of the linear flow entered at log-coordinate ``entry``:
+    the leg lasts ``L = -entry/E`` and the two log-coordinates cross at
+    ``t_k = -entry/(C + E)``.  The scale ``|g|*L + |g_b - g|*(1/(m*C) +
+    1/(m*E))`` bounds the integral's terms, so an error divided by it is
+    relative to the work the integral does.
+    """
+    with mpmath.workdps(50):
+        g_s, g_b, m, C, E, entry = (mpmath.mpf(g_s), mpmath.mpf(g_b), mpmath.mpf(m),
+                                    mpmath.mpf(contr), mpmath.mpf(expand), _mpf(entry))
+        L, t_k, tails = -entry / E, -entry / (C + E), 1 / (m * C) + 1 / (m * E)
+        exact = g_s * L + (g_b - g_s) * -mpmath.expm1(-m * C * t_k) * tails
+        return exact, abs(g_s) * L + abs(g_b - g_s) * tails
+
+
+def test_smooth_leg_integrals_match_the_50_digit_closed_form():
+    rng = np.random.default_rng(9)
+    canonical = Observable(kind="smooth", g_sigma1=1.0, g_sigma2=4.0, m=2.0, g_boundary=2.5)
+    orbits = [(SEED, P, canonical, 64)]
+    orbits += [(*draw_orbit(rng, perturbed=k % 2 == 1, smooth=True), 24) for k in range(12)]
+    worst = 0.0
+    for q0, p, G, n in orbits:
+        h = generate_hitting_sequence(q0, p, n // 2)
+        # the legs of each cylinder as birkhoff_average hands them over
+        cylinders = ((G.g_sigma1, np.log(LD(p.a)) + h.log_coord[0:n:2], h.sojourns_V1, p.E1, p.C1),
+                     (G.g_sigma2, h.log_coord[1:n:2], h.sojourns_V2, p.E2, p.C2))
+        for g_s, log_in, sojourns, E, C in cylinders:
+            got = _smooth_leg_integrals(G, g_s, log_in, sojourns[: n // 2].astype(float), E, C)
+            for value, entry in zip(got, log_in):
+                exact, scale = _leg_integral_50_digits(g_s, G.boundary_value, G.m, C, E, entry)
+                worst = max(worst, float(abs(mpmath.mpf(float(value)) - exact) / scale))
+    assert worst <= 1e-13, worst
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)

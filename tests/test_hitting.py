@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from bykov import (
 import bykov.flow
 import bykov.hitting
 import bykov.params
-from bykov.acceptance import ideal_closed_form_times
+from bykov.acceptance import MATCHED_PARAMS, ideal_closed_form_times
 from reference import LD, P, PP, half_transition, iterated_poincare, same_bits
 
 # not the canonical seed: ln 0.1 taken in long double and rounded to
@@ -167,6 +169,76 @@ def test_constants_derived_once_per_orbit(monkeypatch):
     bykov.flow._leg_constants.cache_clear()
     generate_hitting_sequence(SEED, P, 6)
     assert calls == [P]
+
+
+def _counting_generator(monkeypatch):
+    """The requests that reach the generator's body, in order, while the test runs."""
+    body, runs = bykov.hitting._generate, []
+
+    def counting(q0, p, n_pairs):
+        runs.append((q0, p, n_pairs))
+        return body(q0, p, n_pairs)
+
+    monkeypatch.setattr(bykov.hitting, "_generate", counting)
+    return runs
+
+
+def test_equal_requests_share_one_orbit_while_it_is_alive(monkeypatch):
+    runs = _counting_generator(monkeypatch)
+    h = generate_hitting_sequence(SEED, P, 7)
+    twin = SectionPoint("Out2", SEED.theta_lifted, SEED.log_coord)
+    assert generate_hitting_sequence(twin, dataclasses.replace(P), np.int64(7)) is h
+    assert len(runs) == 1
+    # another loop count or parameter set is another orbit
+    assert generate_hitting_sequence(SEED, P, 6) is not h
+    assert generate_hitting_sequence(SEED, PP, 7) is not h
+    assert len(runs) == 3
+    times, gone = h.times.copy(), weakref.ref(h)
+    del h
+    gc.collect()
+    assert gone() is None
+    again = generate_hitting_sequence(SEED, P, 7)
+    assert len(runs) == 4
+    assert same_bits(again.times, times)
+
+
+def test_signed_zero_angles_get_their_own_orbits():
+    # +0.0 == -0.0, but the seed angle is recorded bit for bit
+    lc = SEED.log_coord
+    pos = generate_hitting_sequence(SectionPoint("Out2", 0.0, lc), P, 3)
+    neg = generate_hitting_sequence(SectionPoint("Out2", -0.0, lc), P, 3)
+    assert neg is not pos
+    assert not np.signbit(pos.theta[0]) and np.signbit(neg.theta[0])
+    assert generate_hitting_sequence(SectionPoint("Out2", LD(-0.0), lc), P, 3) is neg
+
+
+def test_a_refused_request_raises_again(monkeypatch):
+    runs = _counting_generator(monkeypatch)
+    p = dataclasses.replace(P, a=1e-300)  # the reinjected angle overflows
+    for _ in range(2):
+        with pytest.raises(DegenerateInput, match="theta_lifted is not finite"):
+            generate_hitting_sequence(SEED, p, 40)
+    assert len(runs) == 2
+
+
+def test_the_arrays_are_read_only():
+    h = generate_hitting_sequence(SEED, P, 3)
+    for arr in (h.times, h.theta, h.log_coord, h.sojourns_V1, h.sojourns_V2):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_averages_and_replays_reuse_a_live_orbit(monkeypatch):
+    runs = _counting_generator(monkeypatch)
+    h = generate_hitting_sequence(SEED, P, 12)
+    s = birkhoff_average(SEED, P, Observable("piecewise_constant", 0.0, 1.0), 24)
+    assert len(runs) == 1
+    assert same_bits(s.odd_times, h.times[1::2][:12])
+    report = verify_conjugacy(SEED, P, MATCHED_PARAMS, n_pairs=12)
+    # only the partner's orbit is generated, from the image seed
+    assert report.verdict is True
+    assert [(p, n) for _, p, n in runs[1:]] == [(MATCHED_PARAMS, 12)]
+    assert runs[1][0].log_coord == report.image_point.z0_log
 
 
 def test_each_crossing_is_checked_as_it_is_produced():

@@ -52,7 +52,7 @@ __all__ = [
 _CHARTS = ("In1", "Out1", "In2", "Out2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionPoint:
     """A point on one of the four cross-sections.
 
@@ -71,7 +71,6 @@ class SectionPoint:
             raise DegenerateInput(
                 f"unknown chart {self.chart!r}; expected one of {_CHARTS}"
             )
-        # poincare builds one point per step from long doubles, kept as they are
         if not isinstance(self.theta_lifted, LD):
             object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
         if not isinstance(self.log_coord, LD):
@@ -104,6 +103,27 @@ def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> No
 def _require_chart(q: SectionPoint, chart: str, op: str) -> None:
     if q.chart != chart:
         raise DegenerateInput(f"{op} expects a point on {chart}, got {q.chart}")
+
+
+# the slot setters of SectionPoint's fields, which write past its frozen __setattr__
+_SET_CHART, _SET_THETA, _SET_LOG = (
+    SectionPoint.__dict__[name].__set__ for name in ("chart", "theta_lifted", "log_coord")
+)
+
+
+def _in1_point(theta_lifted: np.longdouble, log_coord: np.longdouble) -> SectionPoint:
+    """The ``In1`` point of two long doubles, as ``SectionPoint("In1", ...)`` builds it.
+
+    It runs the constructor's :func:`_check_crossing`, with the same
+    messages, and sets the three fields without the chart scan and the
+    coercions, which values that are already ``np.longdouble`` do not need.
+    """
+    _check_crossing(theta_lifted, log_coord)
+    q = object.__new__(SectionPoint)
+    _SET_CHART(q, "In1")
+    _SET_THETA(q, theta_lifted)
+    _SET_LOG(q, log_coord)
+    return q
 
 
 # exp(x) rounds to +0 for every x below this: ln of the smallest subnormal,
@@ -152,6 +172,23 @@ def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.lon
         X = ((_LD_MAX * a / 4 - b2 - abs(d.log_a)) / g2 - b1) / g1
     X = X if X > 0.0 else LD(0.0)
     return (*legs, a, d.log_a, (-X, X))
+
+
+# the parameter set stepped last and its constants: poincare and psi21 find
+# them by identity, which costs far less than the hash of the frozen
+# SystemParams that a lookup in _leg_constants computes on every call; one
+# tuple, so that a thread reads a set and its own constants together
+_last_step: tuple = (None, None)
+
+
+def _step_constants(p: SystemParams) -> tuple:
+    """:func:`_leg_constants` of ``p``; an invalid ``p`` raises there and is not remembered."""
+    global _last_step
+    last_p, constants = _last_step
+    if last_p is not p:
+        constants = _leg_constants(p)
+        _last_step = p, constants
+    return constants
 
 
 def _half_transition(
@@ -226,12 +263,15 @@ def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
     when ``1/a`` is an integer, which holds for every parameter set used
     in the shipped experiments; the lifted convention keeps the map
     well-defined regardless.)  Instantaneous: no time elapses.
+
+    The ``In1`` point is built from the two long doubles as they are: the
+    checks of ``SectionPoint``, with its messages, and no coercion.
     """
     _require_chart(q, "Out2", "psi21")
-    _, _, a, log_a, _ = _leg_constants(p)
+    _, _, a, log_a, _ = _step_constants(p)
     with np.errstate(over="ignore"):  # an overflow is refused by the point's check
         theta, log = q.theta_lifted / a, log_a + q.log_coord
-    return SectionPoint("In1", theta, log)
+    return _in1_point(theta, log)
 
 
 def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdouble]:
@@ -247,17 +287,22 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     warning, which a caller's filter may turn into an error: an entry
     inside the parameter set's reach (see :func:`_leg_constants`) cannot
     overflow, and a step from outside it runs under ``np.errstate``.
+
+    The next point is built as :func:`psi21` builds it, from the two long
+    doubles as they are: the checks of ``SectionPoint``, with its
+    messages, and no coercion.
     """
-    _require_chart(q, "In1", "poincare")
-    leg1, leg2, a, log_a, (lo, hi) = _leg_constants(p)
+    if q.chart != "In1":
+        _require_chart(q, "In1", "poincare")
+    leg1, leg2, a, log_a, (lo, hi) = _step_constants(p)
     log_in, theta_in = q.log_coord, q.theta_lifted
     if lo < log_in and lo < theta_in < hi:
         s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
         # the Out2 point reinjected as psi21 does
-        return SectionPoint("In1", theta2 / a, log_a + log2), s + u
+        return _in1_point(theta2 / a, log_a + log2), s + u
     with np.errstate(over="ignore", invalid="ignore"):
         s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
-        out, t = SectionPoint("In1", theta2 / a, log_a + log2), s + u
+        out, t = _in1_point(theta2 / a, log_a + log2), s + u
     if not t < _INF:
         raise DegenerateInput(f"return time is not finite: {t}")
     return out, t

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import bykov
 from bykov import (
     ConstraintViolation,
     DegenerateInput,
@@ -21,7 +24,7 @@ from bykov import (
 )
 from bykov._num import asld
 from bykov.flow import _half_transition, _leg_constants
-from reference import LD, P, PP, half_transition, same_bits
+from reference import LD, P, PP, SEED, draw_orbit, half_transition, same_bits
 
 
 def test_section_point_rejects_bad_input():
@@ -58,6 +61,33 @@ def test_section_point_fields_are_long_doubles(theta, log):
         assert type(got) is np.longdouble
         assert same_bits(got, asld(given))
         assert (got is given) == isinstance(given, LD)
+
+
+def test_section_point_is_a_frozen_value():
+    q = SectionPoint("In1", LD("0.7"), LD("-2.5"))
+    for name, value in (("chart", "Out2"), ("theta_lifted", LD(1.0)), ("log_coord", LD(-1.0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(q, name)
+    # a new name is refused too; Python 3.11's slotted frozen __setattr__
+    # says so with a TypeError, not FrozenInstanceError (an AttributeError)
+    with pytest.raises((AttributeError, TypeError)):
+        q.extra = 1
+    assert not hasattr(q, "extra")
+    twin = SectionPoint("In1", "0.7", -2.5)
+    assert twin == q and hash(twin) == hash(q)
+    assert q != SectionPoint("Out2", q.theta_lifted, q.log_coord)
+    moved = dataclasses.replace(q, chart="Out2", log_coord=-1.0)
+    assert moved == SectionPoint("Out2", q.theta_lifted, LD(-1.0))
+    with pytest.raises(DegenerateInput, match="strictly negative"):
+        dataclasses.replace(q, log_coord=0.5)  # checked as the constructor checks
+    copies = [pickle.loads(pickle.dumps(q, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in (*copies, copy.deepcopy(q)):
+        assert type(got) is SectionPoint and got == q and hash(got) == hash(q)
+        assert same_bits(got.theta_lifted, q.theta_lifted)
+        assert same_bits(got.log_coord, q.log_coord)
 
 
 def test_phi1_first_cylinder_passage():
@@ -180,6 +210,65 @@ def test_iterated_poincare_matches_the_generator_bitwise(params):
             (sojourn, h.sojourns_V1[k - 1] + h.sojourns_V2[k - 1]),
         ):
             assert same_bits(got, want)
+
+
+def test_poincare_points_are_those_of_the_public_constructor():
+    # the 64-loop orbits of the reference digest, every second one perturbed
+    rng = np.random.default_rng(6)
+    for k in range(16):
+        q0, p, _ = draw_orbit(rng, perturbed=k % 2 == 1, smooth=True)
+        h = generate_hitting_sequence(q0, p, 64)
+        a = LD(p.a)
+        q = psi21(q0, p)
+        for i in range(65):
+            if i:
+                q, _ = poincare(q, p)
+            want = SectionPoint("In1", h.theta[2 * i] / a, np.log(a) + h.log_coord[2 * i])
+            assert type(q) is SectionPoint and q == want and hash(q) == hash(want)
+            assert same_bits(q.theta_lifted, want.theta_lifted)
+            assert same_bits(q.log_coord, want.log_coord)
+
+
+# a drawn system, perturbed, and its idealized twin
+_DRAWN = draw_orbit(np.random.default_rng(4), perturbed=True)[1]
+
+
+@pytest.mark.parametrize(
+    "p, p_bar",
+    [(P, dataclasses.replace(P)), (P, PP), (_DRAWN, dataclasses.replace(_DRAWN, perturbation=None))],
+    ids=["equal_copy", "P_and_PP", "perturbed_twin"],
+)
+def test_two_systems_stepped_in_turn_keep_the_bits_of_each_alone(p, p_bar, monkeypatch):
+    # poincare and psi21 remember the constants of the parameter object
+    # stepped last; stepping two in turn replaces them on every call
+    n = 40
+
+    def orbit(r):
+        q, t = psi21(SEED, r), LD(0.0)
+        yield q, t
+        for _ in range(n):
+            q, t = poincare(q, r)
+            yield q, t
+
+    alone = [list(orbit(r)) for r in (p, p_bar)]
+    lookups, constants = [], bykov.flow._leg_constants
+    monkeypatch.setattr(bykov.flow, "_leg_constants", lambda r: lookups.append(r) or constants(r))
+    in_turn = list(zip(*(orbit(r) for r in (p, p_bar))))
+    # every call looked its own object up: none took the other's constants
+    assert [id(r) for r in lookups] == [id(p), id(p_bar)] * (n + 1)
+    for k, steps in enumerate(alone):
+        for (q, t), (want, want_t) in zip((pair[k] for pair in in_turn), steps, strict=True):
+            assert same_bits([q.theta_lifted, q.log_coord, t],
+                             [want.theta_lifted, want.log_coord, want_t])
+
+
+def test_an_invalid_system_is_refused_on_every_step():
+    bad = dataclasses.replace(P, a=1.5)
+    for _ in range(2):
+        with pytest.raises(ConstraintViolation, match="a must lie strictly between 0 and 1"):
+            poincare(SectionPoint("In1", 0.7, -1.0), bad)
+        with pytest.raises(ConstraintViolation, match="a must lie strictly between 0 and 1"):
+            psi21(SEED, bad)
 
 
 @pytest.mark.parametrize(

@@ -183,7 +183,7 @@ def adjusted_sequence(
         for _ in range(1, max(n, len(T))):
             x = delta * x - tau_log_a
             seq.append(x)
-            if not (_NEG_INF < x < _INF) and len(seq) >= len(T):
+            if len(seq) >= len(T) and not (_NEG_INF < x < _INF):
                 break
         T_seq_full = np.array(seq, dtype=LD)
         offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)

@@ -32,6 +32,7 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import InsufficientData, NonConvergent
+from .flow import _leg_constants
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, InvariantTuple, SystemParams, derive_constants
 
@@ -71,6 +72,32 @@ def _after_nan(x: np.ndarray) -> np.ndarray:
 def _ratios(s: np.ndarray, u: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
     """``ratio1``, ``ratio2`` and ``ratio3``, aligned with the loop index."""
     return u / s[: len(u)], _after_nan(s[1:] / u), _after_nan(T[1:] / T[:-1])
+
+
+def _defects(h: HittingSequence, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The radial defects ``(D1, D2)`` of each loop, recomputed from the orbit.
+
+    ``D1[i]`` is what the perturbation adds to the log radius of the
+    ``Out1`` crossing of loop ``i``, ``D2[i]`` to the log height of the
+    ``Out2`` crossing after it: ``log1p(c*exp(saddle*eps*log_in)*cos
+    theta_in)`` on the leg's entry, as the kernel computes it, and exactly
+    0 below the leg's cut-off, where the kernel skips it.  The ``V1``
+    entry of loop ``i`` is ``ln a + log_coord[2i]`` at angle ``theta[2i] /
+    a``, the ``V2`` entry ``log_coord[2i+1]`` at angle ``theta[2i+1]``.
+    So each exit is ``saddle*log_in + D`` bit for bit.  ``D1`` holds
+    ``n_pairs + 1`` defects, the closing leg's last; ``D2`` holds
+    ``n_pairs``.
+    """
+    leg1, leg2, a, log_a, _ = _leg_constants(p)
+    entries = (
+        (log_a + h.log_coord[0:-1:2], h.theta[0:-1:2] / a),
+        (h.log_coord[1:-1:2], h.theta[1:-1:2]),
+    )
+    D1, D2 = (np.zeros(len(log_in), dtype=LD) for log_in, _ in entries)
+    for D, (log_in, theta_in), (_, saddle, _, c, eps, cut) in zip((D1, D2), entries, (leg1, leg2)):
+        above = log_in >= cut
+        D[above] = np.log1p(c * np.exp(saddle * eps * log_in[above]) * np.cos(theta_in[above]))
+    return D1, D2
 
 
 def lemma_diagnostics(h: HittingSequence, d: DerivedConstants) -> DiagnosticSeries:

@@ -88,7 +88,9 @@ def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> No
     """The section-point checks, on raw values (see :class:`SectionPoint`).
 
     Comparisons, not ``np.isfinite``, which costs far more on a long-double
-    scalar: they run once per crossing, and three times per ``poincare`` step.
+    scalar.  Every ``SectionPoint`` runs them.  The hitting-time generator
+    and :func:`poincare` run one test per orbit or per step instead, and
+    these checks only to name the crossing they refuse.
     """
     if not (_NEG_INF < theta_lifted < _INF):
         raise DegenerateInput(f"theta_lifted is not finite: {theta_lifted}")
@@ -119,6 +121,11 @@ def _in1_point(theta_lifted: np.longdouble, log_coord: np.longdouble) -> Section
     coercions, which values that are already ``np.longdouble`` do not need.
     """
     _check_crossing(theta_lifted, log_coord)
+    return _unchecked_in1_point(theta_lifted, log_coord)
+
+
+def _unchecked_in1_point(theta_lifted: np.longdouble, log_coord: np.longdouble) -> SectionPoint:
+    """:func:`_in1_point` without the check, for two long doubles that pass it."""
     q = object.__new__(SectionPoint)
     _SET_CHART(q, "In1")
     _SET_THETA(q, theta_lifted)
@@ -238,23 +245,6 @@ def _half_transition(
     return transit, log_out, theta_out
 
 
-def _return_legs(log_in, theta_in, leg1, leg2):
-    """One return step from ``In1`` to ``Out2``: ``Phi1``, the lid gluing, ``Phi2``.
-
-    Runs the ``V1`` leg, checks the ``Out1`` crossing (glued to ``In2``
-    unchanged), runs the ``V2`` leg and checks the ``Out2`` crossing.
-    ``leg1`` and ``leg2`` are the kernel constants of
-    :func:`_leg_constants`.  Returns ``(s, log1, theta1, u, log2,
-    theta2)``: the ``V1`` transit and ``Out1`` crossing, then the ``V2``
-    transit and ``Out2`` crossing.
-    """
-    s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
-    _check_crossing(theta1, log1)
-    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
-    _check_crossing(theta2, log2)
-    return s, log1, theta1, u, log2, theta2
-
-
 def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
     """Reinject an ``Out2`` point onto ``In1`` along the global connection.
 
@@ -289,19 +279,39 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     overflow, and a step from outside it runs under ``np.errstate``.
 
     The next point is built as :func:`psi21` builds it, from the two long
-    doubles as they are: the checks of ``SectionPoint``, with its
-    messages, and no coercion.
+    doubles as they are, with no coercion.  One test stands for the
+    ``SectionPoint`` checks of the step's three crossings, ``Out1``,
+    ``Out2`` and ``In1``: the ``Out2`` log is negative, and the ``In1``
+    point has a finite angle and a log above ``-inf``.  The ``In1`` log is
+    ``ln a`` plus the ``Out2`` one, so it is negative with it.  A
+    non-finite angle or a ``-inf`` log at ``Out1`` or ``Out2`` stays so
+    through the ``V2`` leg and the reinjection (a non-finite angle makes a
+    correction NaN, which the kernel refuses).  So the test passes exactly
+    when all three checks pass.  The ``Out1`` log is compared with 0
+    between the legs, so that the ``V2`` leg never takes ``exp`` of a
+    positive log outside ``np.errstate``.  When the test fails, the step
+    runs again guarded and checks each crossing as it is produced: the
+    first crossing off the connection is refused, with its message.
     """
     if q.chart != "In1":
         _require_chart(q, "In1", "poincare")
     leg1, leg2, a, log_a, (lo, hi) = _step_constants(p)
     log_in, theta_in = q.log_coord, q.theta_lifted
     if lo < log_in and lo < theta_in < hi:
-        s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
-        # the Out2 point reinjected as psi21 does
-        return _in1_point(theta2 / a, log_a + log2), s + u
+        s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
+        if log1 < _ZERO:  # else the V2 leg would take exp of a positive log
+            u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+            # the Out2 point reinjected as psi21 does
+            theta, log = theta2 / a, log_a + log2
+            if log2 < _ZERO and _NEG_INF < log and _NEG_INF < theta < _INF:
+                return _unchecked_in1_point(theta, log), s + u
+    # outside the reach, or a crossing is off: the step again, guarded, and
+    # each crossing checked as it is produced
     with np.errstate(over="ignore", invalid="ignore"):
-        s, _, _, u, log2, theta2 = _return_legs(log_in, theta_in, leg1, leg2)
+        s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
+        _check_crossing(theta1, log1)
+        u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+        _check_crossing(theta2, log2)
         out, t = _in1_point(theta2 / a, log_a + log2), s + u
     if not t < _INF:
         raise DegenerateInput(f"return time is not finite: {t}")

@@ -9,7 +9,15 @@ import numpy as np
 
 from ._num import LD
 from .errors import DegenerateInput, InsufficientData
-from .flow import SectionPoint, _check_crossing, _half_transition, _leg_constants, _return_legs
+from .flow import (
+    _INF,
+    _NEG_INF,
+    _ZERO,
+    SectionPoint,
+    _check_crossing,
+    _half_transition,
+    _leg_constants,
+)
 from .params import SystemParams, _check_count
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]
@@ -69,6 +77,19 @@ def generate_hitting_sequence(
     coordinate, equal parameters and the same loop count get the sequence
     already generated, not a copy, which is why its arrays are read-only.
     A refused request is not remembered and raises again.
+
+    Each crossing after the seed must pass the checks of ``SectionPoint``,
+    and the first one that fails is refused with its message.  The orbit
+    is stepped unchecked and then tested once: every log-coordinate after
+    the seed is negative (NaN fails the comparison too), and the last
+    crossing has a finite angle and a log above ``-inf``.  A non-finite
+    angle or a ``-inf`` log never turns finite again on the way to the
+    last crossing, through ``th / a``, ``+ ln a``, ``+ twist*transit`` or
+    a correction, which a non-finite angle makes NaN and the kernel
+    refuses.  So the test passes exactly when every crossing passes its
+    check.  When it fails, or the kernel refuses a leg, the stored
+    crossings are checked in order, which raises the refusal that a check
+    of each crossing as it was produced would have raised.
     """
     if q0.chart != "Out2":
         raise DegenerateInput(
@@ -88,30 +109,38 @@ def generate_hitting_sequence(
 def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequence:
     """The generator's body: the orbit of a checked request, its arrays read-only."""
     leg1, leg2, a, log_a, _ = _leg_constants(p)
-
-    n = 2 * n_pairs + 2
-    theta = np.empty(n, dtype=LD)
-    log_coord = np.empty(n, dtype=LD)
-    legs = np.empty(n - 1, dtype=LD)
     th, lc = q0.theta_lifted, q0.log_coord
-    theta[0], log_coord[0] = th, lc
-    times = np.zeros(n, dtype=LD)
+    thetas, logs, legs = [th], [lc], []
     # a value that overflows is refused by the checks below as DegenerateInput,
     # not by NumPy's warning, which a caller's filter may turn into an error
     with np.errstate(over="ignore", invalid="ignore"):
-        # each loop reinjects the Out2 crossing k-1 onto In1, as psi21 does,
-        # and returns through Out1 (crossing k) to Out2 (crossing k+1); the
-        # In1 point needs no check of its own: its log height is
-        # log_coord[k-1] + ln(a) < 0, and a non-finite angle shows at k
-        for k in range(1, n - 1, 2):
-            legs[k - 1], log_coord[k], theta[k], legs[k], lc, th = _return_legs(
-                log_a + lc, th / a, leg1, leg2
-            )
-            theta[k + 1], log_coord[k + 1] = th, lc
-        # the closing V1 sojourn
-        legs[-1], lc, th = _half_transition(log_a + lc, th / a, *leg1)
-        _check_crossing(th, lc)
-        theta[-1], log_coord[-1] = th, lc
+        try:
+            # each loop reinjects the last Out2 crossing onto In1, as psi21
+            # does, and returns through Out1 to Out2; the In1 point needs no
+            # check of its own: its log height is ln(a) plus the Out2 one,
+            # and its angle, if not finite, stays so at every later crossing
+            for _ in range(n_pairs):
+                s, lc, th = _half_transition(log_a + lc, th / a, *leg1)
+                thetas.append(th)
+                logs.append(lc)
+                u, lc, th = _half_transition(lc, th, *leg2)
+                thetas.append(th)
+                logs.append(lc)
+                legs += s, u
+            # the closing V1 sojourn
+            s, lc, th = _half_transition(log_a + lc, th / a, *leg1)
+        except DegenerateInput:
+            _check_crossings(thetas, logs)  # a crossing before the refused leg comes first
+            raise
+        thetas.append(th)
+        logs.append(lc)
+        legs.append(s)
+        log_coord = np.array(logs, dtype=LD)
+        if not ((log_coord[1:] < _ZERO).all() and _NEG_INF < th < _INF and _NEG_INF < lc):
+            _check_crossings(thetas, logs)
+        n = 2 * n_pairs + 2
+        times = np.zeros(n, dtype=LD)
+        legs = np.array(legs, dtype=LD)
         np.cumsum(legs, out=times[1:])
         increasing = np.all(np.diff(times) > 0)
     if not increasing:
@@ -122,7 +151,7 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
         raise DegenerateInput(f"the hitting time of crossing {n - 1} is not finite: {times[-1]}")
     h = HittingSequence(
         times=times,
-        theta=theta,
+        theta=np.array(thetas, dtype=LD),
         log_coord=log_coord,
         sojourns_V1=legs[0::2].copy(),
         sojourns_V2=legs[1::2].copy(),
@@ -131,6 +160,12 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
     for arr in (h.times, h.theta, h.log_coord, h.sojourns_V1, h.sojourns_V2):
         arr.setflags(write=False)
     return h
+
+
+def _check_crossings(thetas: list, logs: list) -> None:
+    """:func:`_check_crossing` on each stored crossing in turn: the first one off raises."""
+    for th, lc in zip(thetas, logs):
+        _check_crossing(th, lc)
 
 
 def _legs(h: HittingSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

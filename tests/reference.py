@@ -2,8 +2,8 @@
 
 The canonical systems and seed are those of ``bykov.acceptance``.
 ``same_bits`` compares value bytes, ``draw_orbit`` draws the random
-orbits of the bitwise tests, and ``half_transition``, ``longhand_chain``
-and ``iterated_poincare`` write the model out longhand.  ``python
+orbits of the bitwise tests, and ``half_transition``, ``longhand_orbit``,
+``longhand_chain`` and ``iterated_poincare`` write the model out longhand.  ``python
 tests/reference.py`` prints ``digest()``, one line per output, for the
 ``bykov`` on ``PYTHONPATH`` (this repo's ``src`` when none is given).
 """
@@ -23,7 +23,15 @@ if __name__ == "__main__":
 import numpy as np
 
 import bykov
-from bykov import Observable, PerturbationSpec, SectionPoint, SystemParams, poincare, psi21
+from bykov import (
+    DegenerateInput,
+    Observable,
+    PerturbationSpec,
+    SectionPoint,
+    SystemParams,
+    poincare,
+    psi21,
+)
 from bykov.acceptance import CANONICAL_PARAMS as P
 from bykov.acceptance import PERTURBED_PARAMS as PP  # noqa: F401
 from bykov.acceptance import SEED
@@ -92,6 +100,63 @@ def half_transition(log_in, theta_in, expand, saddle, twist, c, eps):
     theta_out = (theta_in + twist * transit
                  + c * np.exp(saddle * (LD(1.0) + eps) * log_in) * np.sin(theta_in))
     return transit, log_out, theta_out
+
+
+def longhand_orbit(q0: SectionPoint, p: SystemParams, n_pairs: int):
+    """``(times, theta, log_coord)`` of the hitting-time generator, written out longhand.
+
+    Each crossing is built through the public ``SectionPoint`` constructor
+    as it is produced, so the first crossing off the connection raises
+    with its message.  A radius correction that reaches the spiral axis
+    raises as the kernel does, after the check of the leg's entry: a
+    non-finite entry angle, which only the reinjection can make, turns the
+    correction NaN, and the check names the angle.  The ``In1`` entry is
+    checked only there.  Then the times must increase and the last one be
+    finite.
+    """
+    pert = p.perturbation or PerturbationSpec()
+    a, eps = LD(p.a), LD(pert.eps)
+    log_a = np.log(a)
+    v1 = (LD(p.E1), LD(p.C1) / LD(p.E1), LD(p.omega1), LD(pert.c1))
+    v2 = (LD(p.E2), LD(p.C2) / LD(p.E2), LD(p.omega2), LD(pert.c2))
+    q, t = q0, LD(0.0)
+    times, theta, log_coord = [t], [q.theta_lifted], [q.log_coord]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 2 * n_pairs + 2):
+            if k % 2:  # reinjected onto In1, then through V1 to Out1
+                chart, (E, saddle, omega, c) = "Out1", v1
+                theta_in, log_in = q.theta_lifted / a, log_a + q.log_coord
+            else:  # glued onto In2, then through V2 to Out2
+                chart, (E, saddle, omega, c) = "Out2", v2
+                theta_in, log_in = q.theta_lifted, q.log_coord
+            radial = c * np.exp(saddle * eps * log_in) * np.cos(theta_in)
+            if not LD(1.0) + radial > 0.0:
+                SectionPoint("In1", theta_in, log_in)
+                raise DegenerateInput(
+                    f"radius correction reaches the spiral axis; 1 + {float(radial)} <= 0")
+            transit, log_out, theta_out = half_transition(log_in, theta_in, E, saddle, omega, c, eps)
+            q, t = SectionPoint(chart, theta_out, log_out), t + transit
+            times.append(t), theta.append(q.theta_lifted), log_coord.append(q.log_coord)
+    times = np.array(times, dtype=LD)
+    if not np.all(np.diff(times) > 0):
+        raise DegenerateInput("hitting times failed to increase strictly")
+    if not times[-1] < np.inf:
+        raise DegenerateInput(
+            f"the hitting time of crossing {len(times) - 1} is not finite: {times[-1]}")
+    return times, np.array(theta, dtype=LD), np.array(log_coord, dtype=LD)
+
+
+def exits_from_defects(h, p: SystemParams):
+    """The ``Out1`` and ``Out2`` log-coordinates of ``h`` as ``saddle*log_in + D``.
+
+    ``D`` is ``diagnostics._defects``, on the entries of each leg that
+    ``h`` stores; the saddle indices and ``ln a`` are those of
+    ``derive_constants``.
+    """
+    d = bykov.derive_constants(p)
+    D1, D2 = bykov.diagnostics._defects(h, p)
+    return (d.delta1 * (d.log_a + h.log_coord[0:-1:2]) + D1,
+            d.delta2 * h.log_coord[1:-1:2] + D2)
 
 
 def longhand_chain(value, steps: int, d):

@@ -18,7 +18,8 @@ from bykov import (
     perturbation_decay_slope,
 )
 from bykov.acceptance import _richardson_tail
-from reference import LD, P, PP, SEED, draw_orbit, same_bits
+from bykov.diagnostics import _defects
+from reference import LD, P, PP, SEED, draw_orbit, exits_from_defects, same_bits
 
 LOG2 = 0.6931471805599453094172  # -log(a)/E1 for these parameters
 TAU_LOG_A = -1.6173434213065390553
@@ -241,3 +242,19 @@ def test_diagnostics_match_longhand_formulas_bitwise(perturbed):
         slope = _outcome(perturbation_decay_slope, h, p)
         want = _outcome(_longhand_decay_slope, h, p)
         assert slope is want if isinstance(want, type) else same_bits(np.float64(slope), want)
+
+
+@pytest.mark.parametrize("p", [P, PP], ids=["idealized", "perturbed"])
+def test_defects_give_back_every_exit_bitwise(p):
+    h = generate_hitting_sequence(SEED, p, 32)
+    D1, D2 = _defects(h, p)
+    assert len(D1) == 33 and len(D2) == 32
+    exit1, exit2 = exits_from_defects(h, p)
+    assert same_bits(exit1, h.log_coord[1::2]) and same_bits(exit2, h.log_coord[2::2])
+    if p is P:
+        assert not D1.any() and not D2.any()
+    else:
+        # the perturbation has underflowed after six legs of each cylinder;
+        # every defect past the cut-off is exactly 0
+        assert np.count_nonzero(D1) == np.count_nonzero(D2) == 6
+        assert not D1[6:].any() and not D2[6:].any()

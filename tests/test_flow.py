@@ -336,6 +336,20 @@ def test_a_step_inside_the_reach_cannot_overflow(p):
     assert seen
 
 
+def test_an_exit_far_off_inside_the_reach_is_refused_without_a_warning():
+    # the V1 kick throws Out1 to log radius +687; the V2 leg from there would
+    # overflow exp(delta2*eps*687), and poincare runs it without np.errstate
+    p = SystemParams(C1=2, E1=1, omega1=1, C2=1e6, E2=1, omega2=1, a=0.5,
+                     perturbation=PerturbationSpec(c1=1e300, c2=1, eps=0.99))
+    q = SectionPoint("In1", 0.0, -1.0)
+    lo, _ = _leg_constants(p)[-1]
+    assert lo < q.log_coord
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match=re.escape("(point off the connection), got 686.79")):
+            poincare(q, p)
+
+
 def test_a_step_outside_the_reach_is_refused_without_a_warning():
     # delta = 81, with slow twists so that the angle stays in range
     delta81 = SystemParams(C1=9, E1=1, omega1=1e-300, C2=9, E2=1, omega2=1e-300, a=0.5)

@@ -29,7 +29,16 @@ import bykov.flow
 import bykov.hitting
 import bykov.params
 from bykov.acceptance import MATCHED_PARAMS, ideal_closed_form_times
-from reference import LD, P, PP, half_transition, iterated_poincare, same_bits
+from reference import (
+    LD,
+    P,
+    PP,
+    exits_from_defects,
+    half_transition,
+    iterated_poincare,
+    longhand_orbit,
+    same_bits,
+)
 
 # not the canonical seed: ln 0.1 taken in long double and rounded to
 # float64 is -0x1.26bb1bbb55516p+1, one float64 ulp below the canonical
@@ -389,6 +398,66 @@ def test_the_generator_refuses_without_a_warning(**draw):
             generate_hitting_sequence(seed, p, 60)
         except BykovError:
             pass
+
+
+def _refusal(run):
+    """``(type name, message)`` of the BykovError ``run`` raises, or None; a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run()
+        except BykovError as e:
+            return type(e).__name__, str(e)
+    return None
+
+
+# the first radial kick throws the Out1 crossing off the connection
+_OFF_OUT1 = dict(E1=1.0, E2=1.5, d1=2.0, d2=2.0, w1=1.0, w2=2.0, a=0.5,
+                 c1=10.0, c2=0.0, eps=0.5, theta0=0.0, z0=0.9)
+# the Out2 crossing is thrown off (log height +0.135), its In1 point is not,
+# and the next V1 leg reaches the spiral axis
+_OFF_OUT2_THEN_AXIS = dict(_OFF_OUT1, c2=10.0, theta0=2.8, z0=0.7)
+
+
+@given(**_ORBITS)
+@example(**_OVERFLOWING)
+@example(**_OFF_OUT1)
+@example(**_OFF_OUT2_THEN_AXIS)
+def test_refusals_are_those_of_a_check_per_crossing(**draw):
+    # the longhand builds each crossing as a SectionPoint as it is produced;
+    # the generator and the return map refuse with its type and message
+    seed, p = _drawn_orbit(**draw)
+    n = 60
+    want = _refusal(lambda: longhand_orbit(seed, p, n))
+    assert _refusal(lambda: generate_hitting_sequence(seed, p, n)) == want
+    assert _refusal(lambda: iterated_poincare(seed, p, n)) == want
+
+
+@pytest.mark.parametrize("seed, p, n_pairs", [
+    # the three crossings are off the connection, and no leg reaches the axis
+    (SectionPoint("Out2", 0.0, float(np.log(0.9))),
+     dataclasses.replace(P, perturbation=PerturbationSpec(c1=10, c2=0, eps=0.5)), 1),
+    # delta = 81: the log height leaves the long-double range first at the
+    # closing crossing, whose angle is still finite
+    (SectionPoint("Out2", 0.0, -1.0),
+     SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5), 2584),
+], ids=["every_crossing_off", "closing_log_overflows"])
+def test_a_crossing_off_is_refused_where_no_leg_refuses(seed, p, n_pairs):
+    want = _refusal(lambda: longhand_orbit(seed, p, n_pairs))
+    assert want is not None
+    assert _refusal(lambda: generate_hitting_sequence(seed, p, n_pairs)) == want
+
+
+@given(**_ORBITS)
+def test_each_exit_is_the_saddle_map_plus_its_defect(**draw):
+    # the defects recomputed from the stored entries give back the stored exits
+    seed, p = _drawn_orbit(**draw)
+    try:
+        h = generate_hitting_sequence(seed, p, 60)
+    except BykovError:
+        return
+    exit1, exit2 = exits_from_defects(h, p)
+    assert same_bits(exit1, h.log_coord[1::2]) and same_bits(exit2, h.log_coord[2::2])
 
 
 def test_an_overflowing_orbit_is_refused_under_warnings_as_errors():

@@ -226,6 +226,13 @@ def _half_transition(
     larger, is ``±0`` too (rounding is monotone); ``theta_out`` is never
     ``-0``, so adding either leaves it as it is.  With ``c == 0`` the
     cut-off is ``+inf`` and the idealized transit is all there is.
+
+    The hitting-time generator calls this kernel for an orbit's head only.
+    From the first loop whose two entries lie below their cut-offs it
+    computes the idealized leg above, operation for operation, two
+    recurrences as scalars and the rest as arrays: no later entry lies
+    above its cut-off again (see
+    :func:`~bykov.hitting.generate_hitting_sequence`).
     """
     transit = -log_in / expand
     log_out = saddle * log_in

@@ -78,6 +78,27 @@ def generate_hitting_sequence(
     already generated, not a copy, which is why its arrays are read-only.
     A refused request is not remembered and raises again.
 
+    The orbit has a head and a tail.  The head runs the shared kernel
+    (``flow._half_transition``) loop by loop while a loop's ``V1`` entry
+    ``y = ln a + log`` or its ``V2`` entry ``S1*y`` lies at or above its
+    leg's cut-off, or is NaN.  From the first loop with both entries below
+    their cut-offs to the closing ``V1`` leg, the kernel would take its
+    idealized branch on every leg, and the tail computes that branch: the
+    ``V1`` entries ``y' = ln a + S2*(S1*y)`` and the ``Out2`` angles
+    ``th' = (th/a + w1*s) + w2*u`` are stepped as long-double scalars;
+    the exits ``S1*y`` and ``S2*(S1*y)``, the transits ``s = -y/E1`` and
+    ``u = -(S1*y)/E2``, the terms ``w1*s`` and ``w2*u`` and the ``Out1``
+    angles ``th/a + w1*s`` are array operations.  No later entry lies at
+    or above its cut-off again.  The first tail entry ``y`` is negative:
+    it lies below a finite cut-off, which is negative, or, when both are
+    ``+inf``, it is ``ln a`` plus the seed's log.  With ``ln a < 0`` and
+    saddle indices ``S1, S2 > 1``, each exact product and sum in
+    ``ln a + S2*(S1*y)`` lies below its operand, and rounding is monotone,
+    so neither entry ever increases, and neither turns NaN (``-inf`` stays
+    ``-inf``).  The array operations are the kernel's IEEE long-double
+    operations on the same operands in the same order, so every value,
+    ``inf`` and NaN included, has the bits the kernel would give it.
+
     Each crossing after the seed must pass the checks of ``SectionPoint``,
     and the first one that fails is refused with its message.  The orbit
     is stepped unchecked and then tested once: every log-coordinate after
@@ -109,49 +130,76 @@ def generate_hitting_sequence(
 def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequence:
     """The generator's body: the orbit of a checked request, its arrays read-only."""
     leg1, leg2, a, log_a, _ = _leg_constants(p)
+    E1, S1, w1, _, _, cut1 = leg1
+    E2, S2, w2, _, _, cut2 = leg2
+    n = 2 * n_pairs + 2
     th, lc = q0.theta_lifted, q0.log_coord
-    thetas, logs, legs = [th], [lc], []
+    thetas, logs, transits = [th], [lc], []
     # a value that overflows is refused by the checks below as DegenerateInput,
     # not by NumPy's warning, which a caller's filter may turn into an error
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # each loop reinjects the last Out2 crossing onto In1, as psi21
-            # does, and returns through Out1 to Out2; the In1 point needs no
-            # check of its own: its log height is ln(a) plus the Out2 one,
-            # and its angle, if not finite, stays so at every later crossing
-            for _ in range(n_pairs):
-                s, lc, th = _half_transition(log_a + lc, th / a, *leg1)
+            # the head: each loop reinjects the last Out2 crossing onto In1, as
+            # psi21 does, and returns through Out1 to Out2, until both entries
+            # of a loop lie below their cut-offs; the In1 point needs no check
+            # of its own: its log height is ln(a) plus the Out2 one, and its
+            # angle, if not finite, stays so at every later crossing
+            for k in range(n_pairs + 1):
+                y = log_a + lc
+                if y < cut1 and S1 * y < cut2:
+                    break
+                s, lc, th = _half_transition(y, th / a, *leg1)
                 thetas.append(th)
                 logs.append(lc)
+                transits.append(s)
+                if k == n_pairs:  # the closing V1 sojourn
+                    break
                 u, lc, th = _half_transition(lc, th, *leg2)
                 thetas.append(th)
                 logs.append(lc)
-                legs += s, u
-            # the closing V1 sojourn
-            s, lc, th = _half_transition(log_a + lc, th / a, *leg1)
+                transits.append(u)
         except DegenerateInput:
             _check_crossings(thetas, logs)  # a crossing before the refused leg comes first
             raise
-        thetas.append(th)
-        logs.append(lc)
-        legs.append(s)
-        log_coord = np.array(logs, dtype=LD)
-        if not ((log_coord[1:] < _ZERO).all() and _NEG_INF < th < _INF and _NEG_INF < lc):
-            _check_crossings(thetas, logs)
-        n = 2 * n_pairs + 2
+        if len(transits) == n - 1:  # the closing leg ran in the head: there is no tail
+            theta, log_coord, legs = (np.array(x, dtype=LD) for x in (thetas, logs, transits))
+        else:
+            # the tail, from loop k, whose V1 entry y leaves Out2 crossing i0
+            i0 = 2 * k
+            theta, log_coord, legs = np.empty(n, LD), np.empty(n, LD), np.empty(n - 1, LD)
+            theta[: i0 + 1], log_coord[: i0 + 1], legs[:i0] = thetas, logs, transits
+            ys = [y]
+            for _ in range(n_pairs - k):
+                y = log_a + S2 * (S1 * y)
+                ys.append(y)
+            Y, X = np.array(ys, dtype=LD), log_coord[i0 + 1 :: 2]
+            np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
+            np.multiply(S2, X[:-1], out=log_coord[i0 + 2 :: 2])
+            s, u = legs[i0::2], legs[i0 + 1 :: 2]
+            np.divide(-Y, E1, out=s)
+            np.divide(-X[:-1], E2, out=u)
+            W1, W2 = w1 * s, w2 * u
+            ths = []
+            for w1s, w2u in zip(W1, W2):
+                th = th / a + w1s + w2u
+                ths.append(th)
+            theta[i0 + 2 :: 2] = ths
+            np.add(theta[i0:-1:2] / a, W1, out=theta[i0 + 1 :: 2])
+        if not ((log_coord[1:] < _ZERO).all() and _NEG_INF < theta[-1] < _INF
+                and _NEG_INF < log_coord[-1]):
+            _check_crossings(theta, log_coord)
         times = np.zeros(n, dtype=LD)
-        legs = np.array(legs, dtype=LD)
-        np.cumsum(legs, out=times[1:])
-        increasing = np.all(np.diff(times) > 0)
+        np.add.accumulate(legs, out=times[1:])
+        increasing = (times[1:] > times[:-1]).all()
     if not increasing:
         raise DegenerateInput("hitting times failed to increase strictly")
-    # an infinite time before the last makes a difference NaN, refused above;
-    # the last one can overflow alone, when the closing sojourn is added
+    # an infinite time before the last is no greater than the next, refused
+    # above; the last one can overflow alone, when the closing sojourn is added
     if not times[-1] < np.inf:
         raise DegenerateInput(f"the hitting time of crossing {n - 1} is not finite: {times[-1]}")
     h = HittingSequence(
         times=times,
-        theta=np.array(thetas, dtype=LD),
+        theta=theta,
         log_coord=log_coord,
         sojourns_V1=legs[0::2].copy(),
         sojourns_V2=legs[1::2].copy(),
@@ -162,7 +210,7 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
     return h
 
 
-def _check_crossings(thetas: list, logs: list) -> None:
+def _check_crossings(thetas, logs) -> None:
     """:func:`_check_crossing` on each stored crossing in turn: the first one off raises."""
     for th, lc in zip(thetas, logs):
         _check_crossing(th, lc)

@@ -170,7 +170,9 @@ def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
     """``n_pairs`` return steps ``(theta, log, time)`` from the reinjected seed, then a ``V1`` leg.
 
     The closing leg is the longhand ``half_transition``, on the ``V1``
-    constants written out from ``p``.
+    constants written out from ``p``.  It runs under ``np.errstate``, as
+    the generator's legs do, so a value that overflows there is refused by
+    the check of the ``Out1`` point, not by NumPy's warning.
     """
     q, steps = psi21(q0, p), []
     for _ in range(n_pairs):
@@ -178,8 +180,9 @@ def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
         steps.append((q.theta_lifted, q.log_coord, t))
     pert = p.perturbation or PerturbationSpec()
     E1 = LD(p.E1)
-    s, log1, theta1 = half_transition(q.log_coord, q.theta_lifted, E1, LD(p.C1) / E1,
-                                      LD(p.omega1), LD(pert.c1), LD(pert.eps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, log1, theta1 = half_transition(q.log_coord, q.theta_lifted, E1, LD(p.C1) / E1,
+                                          LD(p.omega1), LD(pert.c1), LD(pert.eps))
     SectionPoint("Out1", theta1, log1)  # checked, as the generator checks it
     return np.array(steps, dtype=LD), np.array([theta1, log1, s])
 

@@ -309,6 +309,62 @@ def test_underflowed_corrections_are_skipped_bitwise():
             assert same_bits(got, want)
 
 
+def _tail_start(h, p):
+    """The first loop whose two entries lie below their cut-offs, as the generator tests them.
+
+    ``n_pairs + 1`` when no loop's entries do, the closing leg's included.
+    """
+    (_, S1, _, _, _, cut1), (*_, cut2), _, log_a, _ = bykov.flow._leg_constants(p)
+    y = log_a + h.log_coord[0::2]
+    below = (y < cut1) & (S1 * y < cut2)
+    return int(np.argmax(below)) if below.any() else h.n_pairs + 1
+
+
+def _saddles(S, eps, c1=0.1):
+    """Both saddle indices ``S``, perturbed with ``c1``, ``c2 = 0.1`` and ``eps``."""
+    pert = PerturbationSpec(c1=c1, c2=0.1, eps=eps)
+    return SystemParams(C1=S, E1=1, omega1=1, C2=S, E2=1, omega2=2, a=0.5, perturbation=pert)
+
+
+_HALF = SectionPoint("Out2", 1.0, float(np.log(0.5)))
+
+
+@pytest.mark.parametrize("seed, p, n_pairs, start", [
+    (SEED, P, 12, 0),
+    (_HALF, _saddles(32, 0.5), 6, 1),
+    (_HALF, _saddles(8, 0.9), 6, 2),
+    (_HALF, _saddles(4, 0.9), 6, 3),
+    # the tail is the closing leg alone
+    (_HALF, _saddles(4, 0.9), 3, 3),
+    # no V1 cut-off: the V2 entry alone decides
+    (_HALF, _saddles(8, 0.1, c1=0.0), 6, 2),
+    # the closing leg is still above its cut-off, so no loop runs as the tail
+    (_HALF, _saddles(4, 0.001), 3, 4),
+    (SEED, P, 1000, 0),
+    (SEED, PP, 1000, 6),
+], ids=["idealized", "from_loop_1", "from_loop_2", "from_loop_3", "closing_leg_only",
+        "v2_cut_only", "never", "idealized_1000", "perturbed_1000"])
+def test_the_idealized_tail_joins_the_kernel_bitwise(seed, p, n_pairs, start):
+    # from the first loop below both cut-offs the generator steps two scalar
+    # recurrences and computes the rest as arrays; the longhand runs the
+    # kernel's operations crossing by crossing, corrections included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = generate_hitting_sequence(seed, p, n_pairs)
+        times, theta, log_coord = longhand_orbit(seed, p, n_pairs)
+    assert _tail_start(h, p) == start
+    assert same_bits(h.times, times)
+    assert same_bits(h.theta, theta)
+    assert same_bits(h.log_coord, log_coord)
+    log_a = np.log(LD(p.a))
+    assert same_bits(h.sojourns_V1, -(log_a + log_coord[0::2]) / LD(p.E1))
+    assert same_bits(h.sojourns_V2, -log_coord[1:-1:2] / LD(p.E2))
+    if p.perturbation is not None:
+        # the head's corrections moved the orbit off its idealized twin
+        twin = generate_hitting_sequence(seed, dataclasses.replace(p, perturbation=None), n_pairs)
+        assert not same_bits(h.log_coord[: 2 * start], twin.log_coord[: 2 * start])
+
+
 def _outcome(run):
     """``("ok", value)``, or ``("refused", type name, message)`` for a BykovError.
 
@@ -446,6 +502,20 @@ def test_a_crossing_off_is_refused_where_no_leg_refuses(seed, p, n_pairs):
     want = _refusal(lambda: longhand_orbit(seed, p, n_pairs))
     assert want is not None
     assert _refusal(lambda: generate_hitting_sequence(seed, p, n_pairs)) == want
+
+
+def test_a_closing_log_past_the_range_is_refused_alike_by_the_return_map():
+    # delta = 81: 2584 return steps stay in range, and the closing V1 leg's
+    # log radius overflows to -inf; the return map's closing leg runs under
+    # np.errstate as the generator's does, so it refuses without a warning
+    seed = SectionPoint("Out2", 0.0, -1.0)
+    p = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5)
+    want = _refusal(lambda: longhand_orbit(seed, p, 2584))
+    assert want == ("DegenerateInput", "log_coord must be finite and strictly negative "
+                    "(point off the connection), got -inf; the log-coordinate left the "
+                    "long-double range")
+    assert _refusal(lambda: generate_hitting_sequence(seed, p, 2584)) == want
+    assert _refusal(lambda: iterated_poincare(seed, p, 2584)) == want
 
 
 @given(**_ORBITS)

@@ -49,11 +49,7 @@ from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, _check_count
 
-__all__ = [
-    "AdjustedTimes",
-    "adjusted_sequence",
-    "shift_invariance_check",
-]
+__all__ = ["AdjustedTimes", "adjusted_sequence", "shift_invariance_check"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,7 @@ class AdjustedTimes:
 _HEAD_PASSES = 16
 
 _NEG_INF, _INF = LD(-np.inf), LD(np.inf)
+_FLOOR = LD(16.0) * np.finfo(LD).eps  # a difference at most this times max |family| is noise
 
 
 def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
@@ -136,12 +133,11 @@ def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
     """Tail element of the family plus a geometric bound on what remains."""
-    diffs = np.abs(np.diff(family))
-    floor = LD(16.0) * np.finfo(LD).eps * np.max(np.abs(family))
-    significant = np.nonzero(diffs > floor)[0]
+    diffs = abs(family[1:] - family[:-1])
+    floor = _FLOOR * abs(family).max()
+    significant = (diffs > floor).nonzero()[0]
     if len(significant) == 0:
-        bound = float(diffs.max()) if len(diffs) else 0.0
-        return family[-1], bound
+        return family[-1], float(diffs.max())
     k = significant[-1]
     d_last = diffs[k]
     if k >= 1 and diffs[k - 1] > floor and diffs[k - 1] > d_last:
@@ -186,12 +182,11 @@ def adjusted_sequence(
             if len(seq) >= len(T) and not (_NEG_INF < x < _INF):
                 break
         T_seq_full = np.array(seq, dtype=LD)
-        offset = np.sum(T - T_seq_full[: len(T)], dtype=LD)
+        offset = np.add.reduce(T - T_seq_full[: len(T)])
 
         m = min(n, len(seq))
-        t_even_zero = np.empty(m + 1, dtype=LD)
-        t_even_zero[0] = LD(0.0)
-        np.cumsum(T_seq_full[:m], out=t_even_zero[1:])
+        t_even_zero = np.zeros(m + 1, dtype=LD)
+        np.add.accumulate(T_seq_full[:m], out=t_even_zero[1:])
         t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)
         t_even, t_odd = t_even_zero + offset, t_odd_zero + offset
     # loop k ends at t_even[k+1]; a duration or zero-anchored time of loop

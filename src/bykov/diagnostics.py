@@ -66,7 +66,9 @@ class DiagnosticSeries:
 
 def _after_nan(x: np.ndarray) -> np.ndarray:
     """``x`` behind one NaN: a series whose formula starts at loop 1."""
-    return np.concatenate(([_NAN], x))
+    out = np.empty(len(x) + 1, dtype=LD)
+    out[0], out[1:] = _NAN, x
+    return out
 
 
 def _ratios(s: np.ndarray, u: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -103,9 +105,7 @@ def _defects(h: HittingSequence, p: SystemParams) -> tuple[np.ndarray, np.ndarra
 def lemma_diagnostics(h: HittingSequence, d: DerivedConstants) -> DiagnosticSeries:
     """The three difference combinations and the recursion residuals."""
     if h.n_pairs < 3:
-        raise InsufficientData(
-            f"lemma diagnostics need at least 3 loops, got {h.n_pairs}"
-        )
+        raise InsufficientData(f"lemma diagnostics need at least 3 loops, got {h.n_pairs}")
     s, u, T = _legs(h)
     lemma3 = T[1:] - d.delta * T[:-1]
     return DiagnosticSeries(
@@ -125,12 +125,11 @@ def corollary_ratios(h: HittingSequence, p: SystemParams) -> DiagnosticSeries:
     return DiagnosticSeries(ratios=(*_ratios(s, u, T), ratio4))
 
 
-def _tail_spread_ok(seq: np.ndarray, k: int = 3, rel: float = 1e-3) -> bool:
-    vals = seq[~np.isnan(seq)]
-    if len(vals) < k:
-        return False
-    tail = vals[-k:].astype(float)
-    return bool(np.std(tail) <= rel * abs(np.mean(tail)))
+def _spread(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``np.std`` and ``np.mean`` of a 2-D float64 array, in their own ufunc calls."""
+    mean = np.add.reduce(tails, axis=1, keepdims=True) / tails.shape[1]
+    dev = tails - mean
+    return np.sqrt(np.add.reduce(dev * dev, axis=1) / tails.shape[1]), mean[:, 0]
 
 
 def estimate_invariants(h: HittingSequence) -> InvariantTuple:
@@ -158,46 +157,51 @@ def estimate_invariants(h: HittingSequence) -> InvariantTuple:
     InsufficientData
         Fewer than 5 loops.
     NonConvergent
-        The tails of the ratio diagnostics have not stabilized (relative
-        spread above 1e-3 over the last three entries), or the angle
-        relation is numerically degenerate.
+        ``ratio1``, ``ratio2`` and ``ratio3`` in turn must each have a
+        float64 population std of their last three non-NaN entries at most
+        1e-3 times the absolute value of those entries' mean; the first
+        that does not is named (fewer than three entries, or any not
+        finite, fail, without a NumPy warning).  Or the angle relation is
+        numerically degenerate.
     """
     if h.n_pairs < 5:
-        raise InsufficientData(
-            f"invariant estimation needs at least 5 loops, got {h.n_pairs}"
-        )
+        raise InsufficientData(f"invariant estimation needs at least 5 loops, got {h.n_pairs}")
     s, u, T = _legs(h)
     P = h.n_pairs
 
-    ratio1, ratio2, ratio3 = _ratios(s, u, T)
-    for name, seq in (("ratio1", ratio1), ("ratio2", ratio2), ("ratio3", ratio3)):
-        if not _tail_spread_ok(seq):
+    ratios = _ratios(s, u, T)
+    tails = np.full((3, 3), np.nan)  # a ratio with fewer than 3 entries keeps a NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # a tail not finite fails, unwarned
+        for row, seq in zip(tails, ratios):
+            vals = seq[~np.isnan(seq)][-3:]
+            row[3 - len(vals) :] = vals
+        std, mean = _spread(tails)
+        settled = std <= 1e-3 * abs(mean)
+    for name, ok in zip(("ratio1", "ratio2", "ratio3"), settled.tolist()):
+        if not ok:
             raise NonConvergent(
                 f"{name} tail has not stabilized; the input series does not "
                 "look like hitting times of this model"
             )
 
-    gamma1_hat = ratio1[-1]
+    gamma1_hat = ratios[0][-1]
 
-    # slope of s[i] against u[i-1] over the last (up to) five loops
-    rows = min(5, P)
-    x = u[P - rows :]
-    y = s[P - rows + 1 : P + 1]
-    xm, ym = x.mean(), y.mean()
-    denom = ((x - xm) ** 2).sum()
+    # slope of s[i] against u[i-1] over the last five loops; a sum over 5 is ndarray.mean
+    x, y = u[P - 5 :], s[P - 4 : P + 1]
+    dx, dy = x - np.add.reduce(x) / 5, y - np.add.reduce(y) / 5
+    denom = np.add.reduce(dx * dx)
     if not (denom > 0):
         raise NonConvergent("sojourn legs are constant; cannot estimate gamma2")
-    gamma2_hat = ((x - xm) * (y - ym)).sum() / denom
+    gamma2_hat = np.add.reduce(dx * dy) / denom
 
     delta_hat = gamma1_hat * gamma2_hat
     tau_log_a_hat = -(T[-1] - delta_hat * T[-2])
 
-    omega2_hat = (h.theta[2 * P] - h.theta[2 * P - 1]) / u[P - 1]
+    q1, y1, q2, y2 = h.theta[2 * P - 2 :]  # Out2, Out1 angles of the last two loops
+    omega2_hat = (q2 - y1) / u[P - 1]
 
     # exact per-loop relation theta[2i+1] = x*theta[2i] + w*s[i]; two rows
     # from the final loops pin (x, w) = (1/a, omega1)
-    q1, q2 = h.theta[2 * (P - 1)], h.theta[2 * P]
-    y1, y2 = h.theta[2 * (P - 1) + 1], h.theta[2 * P + 1]
     s1, s2 = s[P - 1], s[P]
     det = q1 * s2 - q2 * s1
     scale = max(abs(q1 * s2), abs(q2 * s1), LD(1.0))

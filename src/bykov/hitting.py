@@ -97,13 +97,15 @@ def generate_hitting_sequence(
     so neither entry ever increases, and neither turns NaN (``-inf`` stays
     ``-inf``).  The array operations are the kernel's IEEE long-double
     operations on the same operands in the same order, so every value,
-    ``inf`` and NaN included, has the bits the kernel would give it.
+    ``inf`` and NaN included, has the bits the kernel would give it; the
+    transits divide ``y`` by ``-E1``, which rounds the same magnitude as
+    ``-y/E1`` and gives it the same sign.
 
     Each crossing after the seed must pass the checks of ``SectionPoint``,
     and the first one that fails is refused with its message.  The orbit
-    is stepped unchecked and then tested once: every log-coordinate after
-    the seed is negative (NaN fails the comparison too), and the last
-    crossing has a finite angle and a log above ``-inf``.  A non-finite
+    is stepped unchecked and then tested once: the largest log-coordinate
+    after the seed is negative (a NaN makes it NaN, which fails), and the
+    last crossing has a finite angle and a log above ``-inf``.  A non-finite
     angle or a ``-inf`` log never turns finite again on the way to the
     last crossing, through ``th / a``, ``+ ln a``, ``+ twist*transit`` or
     a correction, which a non-finite angle makes NaN and the kernel
@@ -176,8 +178,8 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
             np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
             np.multiply(S2, X[:-1], out=log_coord[i0 + 2 :: 2])
             s, u = legs[i0::2], legs[i0 + 1 :: 2]
-            np.divide(-Y, E1, out=s)
-            np.divide(-X[:-1], E2, out=u)
+            np.divide(Y, -E1, out=s)  # -y/E1, negated in the divisor
+            np.divide(X[:-1], -E2, out=u)
             W1, W2 = w1 * s, w2 * u
             ths = []
             for w1s, w2u in zip(W1, W2):
@@ -185,7 +187,7 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
                 ths.append(th)
             theta[i0 + 2 :: 2] = ths
             np.add(theta[i0:-1:2] / a, W1, out=theta[i0 + 1 :: 2])
-        if not ((log_coord[1:] < _ZERO).all() and _NEG_INF < theta[-1] < _INF
+        if not (np.maximum.reduce(log_coord[1:]) < _ZERO and _NEG_INF < theta[-1] < _INF
                 and _NEG_INF < log_coord[-1]):
             _check_crossings(theta, log_coord)
         times = np.zeros(n, dtype=LD)

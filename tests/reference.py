@@ -166,6 +166,21 @@ def longhand_chain(value, steps: int, d):
     return value
 
 
+def extract_limit(family):
+    """``(T0, residual_tail_bound)`` of a backward family, in ``np.diff`` and ``np.max``."""
+    diffs = np.abs(np.diff(family))
+    floor = LD(16.0) * np.finfo(LD).eps * np.max(np.abs(family))
+    significant = np.nonzero(diffs > floor)[0]
+    if len(significant) == 0:
+        return family[-1], float(np.max(diffs))
+    k = significant[-1]
+    if k >= 1 and diffs[k - 1] > floor and diffs[k - 1] > diffs[k]:
+        ratio = min(float(diffs[k] / diffs[k - 1]), 0.9)
+    else:
+        ratio = 0.5
+    return family[-1], float(diffs[k]) * ratio / (1.0 - ratio)
+
+
 def iterated_poincare(q0: SectionPoint, p: SystemParams, n_pairs: int):
     """``n_pairs`` return steps ``(theta, log, time)`` from the reinjected seed, then a ``V1`` leg.
 

@@ -22,8 +22,8 @@ from bykov import (
     generate_hitting_sequence,
     shift_invariance_check,
 )
-from bykov.adjusted import _carry_back
-from reference import LD, P, PP, SEED, longhand_chain, same_bits
+from bykov.adjusted import _carry_back, _extract_limit
+from reference import LD, P, PP, SEED, extract_limit, longhand_chain, same_bits
 
 D = derive_constants(P)
 
@@ -125,6 +125,37 @@ def test_a_family_in_which_no_chain_merges():
     h = _with_durations(np.random.default_rng(12).uniform(1.0, 2.0, 300).astype(LD))
     assert len(np.unique(adjusted_sequence(h, d).T0_family)) == 300
     _assert_carry_is_longhand(h, d, 20)
+
+
+_EPS = np.finfo(LD).eps  # the floor is 16 eps times the largest |family|
+_LIMIT_FAMILIES = {
+    "length_2": [LD(1.0), LD(1.5)],
+    "constant": [LD(3.5)] * 5,
+    "below_the_floor": [LD(1.0), 1 + 8 * _EPS, 1 + 12 * _EPS],
+    "first_difference_only": [LD(1.0)] + [LD(2.0)] * 4,
+    "geometric": 5 + 3 * LD(0.25) ** np.arange(12, dtype=LD),
+    "slow_geometric": 5 + 3 * LD(0.95) ** np.arange(12, dtype=LD),
+}
+
+
+@pytest.mark.parametrize("family", _LIMIT_FAMILIES.values(), ids=_LIMIT_FAMILIES.keys())
+def test_extract_limit_matches_longhand_bitwise(family):
+    family = np.array(family, dtype=LD)
+    T0, bound = _extract_limit(family)
+    want_T0, want_bound = extract_limit(family)
+    assert same_bits(T0, want_T0) and same_bits(np.float64(bound), np.float64(want_bound))
+
+
+def test_extract_limit_edges():
+    families = {k: np.array(v, dtype=LD) for k, v in _LIMIT_FAMILIES.items()}
+    assert _extract_limit(families["length_2"])[1] == 0.5  # one difference: ratio 0.5
+    assert same_bits(np.float64(_extract_limit(families["constant"])[1]), np.float64(0.0))
+    assert _extract_limit(families["below_the_floor"])[1] == float(8 * _EPS)  # the largest
+    assert _extract_limit(families["first_difference_only"])[1] == 1.0  # ratio 0.5
+    d = np.diff(families["geometric"])
+    assert _extract_limit(families["geometric"])[1] == float(-d[-1]) * 0.25 / 0.75
+    d = np.diff(families["slow_geometric"])
+    assert _extract_limit(families["slow_geometric"])[1] == float(-d[-1]) * 0.9 / (1 - 0.9)
 
 
 def test_family_is_constant_without_perturbation(ideal):

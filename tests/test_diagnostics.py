@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bykov import (
     HittingSequence,
@@ -18,7 +20,7 @@ from bykov import (
     perturbation_decay_slope,
 )
 from bykov.acceptance import _richardson_tail
-from bykov.diagnostics import _defects
+from bykov.diagnostics import _defects, _spread
 from reference import LD, P, PP, SEED, draw_orbit, exits_from_defects, same_bits
 
 LOG2 = 0.6931471805599453094172  # -log(a)/E1 for these parameters
@@ -124,6 +126,107 @@ def test_estimate_rejects_incoherent_times():
     )
     with pytest.raises(NonConvergent):
         estimate_invariants(fake)
+
+
+# float64 entries: any double, magnitudes from 1e-300 to 1e300 of either
+# sign, and the special values; a triple is three draws or one draw thrice
+_ENTRY = st.one_of(
+    st.floats(),
+    st.builds(lambda m, sign: sign * m, st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e300]),
+)
+_TRIPLE = st.one_of(st.tuples(_ENTRY, _ENTRY, _ENTRY), _ENTRY.map(lambda v: (v, v, v)))
+
+
+@settings(max_examples=300)
+@given(st.tuples(_TRIPLE, _TRIPLE, _TRIPLE))
+def test_row_wise_spread_is_the_per_series_one_bitwise(rows):
+    tails = np.array(rows, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        std, mean = _spread(tails)
+        settled = std <= 1e-3 * abs(mean)
+        for r, tail in enumerate(tails):
+            want_std, want_mean = np.std(tail), np.mean(tail)
+            assert same_bits(std[r], want_std, equal_nan=True)
+            assert same_bits(mean[r], want_mean, equal_nan=True)
+            assert settled[r] == bool(want_std <= 1e-3 * abs(want_mean))
+
+
+def _from_legs(s, u):
+    """A hand-built sequence with sojourn legs ``s`` (``n + 1``) and ``u`` (``n``)."""
+    s, u = np.array(s, dtype=LD), np.array(u, dtype=LD)
+    legs = np.empty(len(s) + len(u), dtype=LD)
+    legs[0::2], legs[1::2] = s, u
+    times = np.concatenate(([LD(0.0)], np.cumsum(legs)))
+    return HittingSequence(times=times, theta=np.arange(len(times), dtype=LD),
+                           log_coord=np.full(len(times), LD(-1.0)),
+                           sojourns_V1=s, sojourns_V2=u, n_pairs=len(u))
+
+
+def _from_ratios(r1, r2):
+    """Legs whose ``u[i]/s[i]`` is ``r1[i]`` and ``s[i]/u[i-1]`` is ``r2[i-1]``."""
+    s, u = [LD(1.0)], []
+    for a, b in zip(r1, r2):
+        u.append(LD(a) * s[-1])
+        s.append(LD(b) * u[-1])
+    return _from_legs(s, u)
+
+
+def _tails_settle(h):
+    """The per-series spread test of each of ``ratio1..ratio3``, one at a time."""
+    out = []
+    for seq in corollary_ratios(h, P).ratios[:3]:
+        vals = seq[~np.isnan(seq)]
+        tail = vals[-3:].astype(float)
+        out.append(len(vals) >= 3 and bool(np.std(tail) <= 1e-3 * abs(np.mean(tail))))
+    return out
+
+
+_D = 1e-3
+# (legs, which ratio tails settle, the ratio the refusal names)
+_FAILS_FIRST = {
+    "all_fail": (_from_legs(np.linspace(1, 7, 7) ** 2, np.linspace(9, 2, 6)),
+                 [False, False, False], "ratio1"),
+    # ratio3 follows ratio2 one loop back, and both swing
+    "ratio2_and_ratio3": (_from_ratios([2.0] * 6, [2.0, 2.0, 2.0, 3.0, 4.0, 5.0]),
+                          [True, False, False], "ratio2"),
+    # the closing leg alone is off, and only ratio2 reaches it
+    "ratio2_only": (_from_ratios([2.0] * 6, [2.0] * 5 + [6.0]), [True, False, True], "ratio2"),
+    # ratio1 and ratio2 swing in step, each by less than 1e-3: their
+    # product, which ratio3 follows, swings by about twice that
+    "ratio3_only": (_from_ratios([100 * (1 + e) for e in (0, 0, 0, _D, -_D, _D)],
+                                 [3 * (1 + e) for e in (0, 0, _D, -_D, _D, -_D)]),
+                    [True, True, False], "ratio3"),
+}
+
+
+@pytest.mark.parametrize("case", _FAILS_FIRST)
+def test_the_refusal_names_the_first_ratio_that_fails(case):
+    h, settle, name = _FAILS_FIRST[case]
+    assert _tails_settle(h) == settle
+    with pytest.raises(NonConvergent, match=f"^{name} tail has not stabilized"):
+        estimate_invariants(h)
+
+
+def test_a_ratio_tail_that_is_not_finite_is_refused_without_a_warning():
+    # an infinite closing leg reaches ratio2 alone; warnings are errors here
+    s = LD(4.0) ** np.arange(6, dtype=LD)
+    s[5] = np.inf
+    with pytest.raises(NonConvergent, match="^ratio2 tail has not stabilized"):
+        estimate_invariants(_from_legs(s, 2 * s[:5]))
+
+
+def test_a_ratio_with_fewer_than_three_entries_is_refused():
+    # a NaN first leg of loop 2 leaves ratio3 two entries; ratio1 and
+    # ratio2 drop their NaN and settle on their other entries
+    s = LD(4.0) ** np.arange(6, dtype=LD)
+    u = 2 * s[:5]
+    s[2] = np.nan
+    h = _from_legs(s, u)
+    assert [np.count_nonzero(~np.isnan(r)) for r in corollary_ratios(h, P).ratios[:3]] == [4, 4, 2]
+    assert _tails_settle(h) == [True, True, False]
+    with pytest.raises(NonConvergent, match="^ratio3 tail has not stabilized"):
+        estimate_invariants(h)
 
 
 def test_lemma2_decays_like_the_perturbation(perturbed):

@@ -497,7 +497,11 @@ def test_refusals_are_those_of_a_check_per_crossing(**draw):
     # closing crossing, whose angle is still finite
     (SectionPoint("Out2", 0.0, -1.0),
      SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5), 2584),
-], ids=["every_crossing_off", "closing_log_overflows"])
+    # the Out2 crossing alone is off (log height +2.96): the Out1 crossings
+    # before and after it are on the connection, and no leg refuses
+    (SectionPoint("Out2", 0.0, -1.0),
+     dataclasses.replace(P, a=0.01, perturbation=PerturbationSpec(c1=0, c2=1e16, eps=0.5)), 1),
+], ids=["every_crossing_off", "closing_log_overflows", "one_crossing_off_between_two_on"])
 def test_a_crossing_off_is_refused_where_no_leg_refuses(seed, p, n_pairs):
     want = _refusal(lambda: longhand_orbit(seed, p, n_pairs))
     assert want is not None

@@ -290,9 +290,8 @@ def _criterion_historic_averages() -> CriterionResult:
     stays = bool(len(within)) and bool(np.all(odd_err[first_reach:] < 1e-3))
 
     cert = historic_certificate(series, tol=1e-3)
-    gap_expected = (LD(1.0) - derive_constants(p).delta) * LD(1.0) / (
-        (LD(1.0) + derive_constants(p).gamma1) * (LD(1.0) + derive_constants(p).gamma2)
-    )
+    d = derive_constants(p)
+    gap_expected = (LD(1.0) - d.delta) * LD(1.0) / ((LD(1.0) + d.gamma1) * (LD(1.0) + d.gamma2))
     gap_err = float(abs(asld(cert.gap) - gap_expected))
     passed = (
         even_err < 1e-10

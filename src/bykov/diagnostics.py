@@ -32,7 +32,6 @@ import numpy as np
 
 from ._num import LD, asld
 from .errors import InsufficientData, NonConvergent
-from .flow import _leg_constants
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, InvariantTuple, SystemParams, derive_constants
 
@@ -72,8 +71,13 @@ def _after_nan(x: np.ndarray) -> np.ndarray:
 
 
 def _ratios(s: np.ndarray, u: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``ratio1``, ``ratio2`` and ``ratio3``, aligned with the loop index."""
-    return u / s[: len(u)], _after_nan(s[1:] / u), _after_nan(T[1:] / T[:-1])
+    """``ratio1``, ``ratio2`` and ``ratio3``, aligned with the loop index.
+
+    A quotient of two infinite or two zero legs, which only a hand-built
+    sequence holds, is NaN without NumPy's warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u / s[: len(u)], _after_nan(s[1:] / u), _after_nan(T[1:] / T[:-1])
 
 
 def _defects(h: HittingSequence, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +94,7 @@ def _defects(h: HittingSequence, p: SystemParams) -> tuple[np.ndarray, np.ndarra
     ``n_pairs + 1`` defects, the closing leg's last; ``D2`` holds
     ``n_pairs``.
     """
-    leg1, leg2, a, log_a, _ = _leg_constants(p)
+    leg1, leg2, a, log_a, _ = p._kernel
     entries = (
         (log_a + h.log_coord[0:-1:2], h.theta[0:-1:2] / a),
         (h.log_coord[1:-1:2], h.theta[1:-1:2]),
@@ -121,7 +125,8 @@ def corollary_ratios(h: HittingSequence, p: SystemParams) -> DiagnosticSeries:
     if h.n_pairs < 2:
         raise InsufficientData(f"ratio diagnostics need at least 2 loops, got {h.n_pairs}")
     s, u, T = _legs(h)
-    ratio4 = (asld(p.omega1) * s[: len(u)] + asld(p.omega2) * u) / T
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in _ratios
+        ratio4 = (asld(p.omega1) * s[: len(u)] + asld(p.omega2) * u) / T
     return DiagnosticSeries(ratios=(*_ratios(s, u, T), ratio4))
 
 

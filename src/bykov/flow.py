@@ -34,14 +34,13 @@ angle is a quotient that downstream diagnostics cannot un-wrap.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._num import LD, asld
 from .errors import DegenerateInput
-from .params import PerturbationSpec, SystemParams, derive_constants
+from .params import SystemParams
 
 __all__ = [
     "SectionPoint",
@@ -133,71 +132,6 @@ def _unchecked_in1_point(theta_lifted: np.longdouble, log_coord: np.longdouble) 
     return q
 
 
-# exp(x) rounds to +0 for every x below this: ln of the smallest subnormal,
-# less a margin of 2 (ln 2 would do) that absorbs the rounding of the cut-offs
-_LN_UNDERFLOW = np.log(np.finfo(LD).smallest_subnormal) - LD(2.0)
-_LD_MAX = np.finfo(LD).max
-
-
-@functools.lru_cache(maxsize=128)
-def _leg_constants(p: SystemParams) -> tuple[tuple, tuple, np.longdouble, np.longdouble, tuple]:
-    """``(leg1, leg2, a, ln a, reach)``: the kernel constants of one parameter set.
-
-    Each leg is ``(expand, saddle, twist, c, eps, cut)``.  Derived once per
-    parameter set and memoized; ``derive_constants`` validates ``p``
-    first, so an invalid set is never stored.  No perturbation is the
-    zero one.  ``saddle`` is the leg's saddle index
-    ``delta1 = C1/E1`` or ``delta2 = C2/E2``.  ``cut`` is the entry
-    log-coordinate below which the leg's perturbation has underflowed:
-    ``(ln(smallest subnormal) - 2) / (saddle*eps)``, or ``+inf`` when
-    ``c`` is 0, so that every entry lies below it (see
-    :func:`_half_transition`).
-
-    The reach ``(-X, X)`` bounds the entries of a return step, ``ln z``
-    and the angle, inside which no value of the step overflows, the
-    reinjection included (see :func:`poincare`).  A leg takes entries of
-    size up to ``X`` to values below ``g*X + b``, with ``g = 1 + 2*saddle
-    + (1 + twist)/expand`` and ``b = 45 + c``: the radial term ``log1p``
-    lies between ``ln(2**-64)`` and ``ln(1 + c) <= c``.  So every value of
-    the step stays below ``2*(g2*(g1*X + b1) + b2 + |ln a|)/a``, which
-    ``X`` keeps below half the long-double maximum.  Where that leaves no
-    positive ``X``, ``X`` is 0 and every step is guarded.
-    """
-    d = derive_constants(p)
-    pert = p.perturbation or PerturbationSpec()
-    eps = asld(pert.eps)
-
-    def leg(E, saddle, omega, c):
-        c = asld(c)
-        cut = _LN_UNDERFLOW / (saddle * eps) if c != 0.0 else LD(np.inf)
-        return asld(E), saddle, asld(omega), c, eps, cut
-
-    legs = leg(p.E1, d.delta1, p.omega1, pert.c1), leg(p.E2, d.delta2, p.omega2, pert.c2)
-    a = asld(p.a)
-    with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows is no reach
-        (g1, b1), (g2, b2) = ((1 + 2 * S + (1 + w) / E, 45 + c) for E, S, w, c, _, _ in legs)
-        X = ((_LD_MAX * a / 4 - b2 - abs(d.log_a)) / g2 - b1) / g1
-    X = X if X > 0.0 else LD(0.0)
-    return (*legs, a, d.log_a, (-X, X))
-
-
-# the parameter set stepped last and its constants: poincare and psi21 find
-# them by identity, which costs far less than the hash of the frozen
-# SystemParams that a lookup in _leg_constants computes on every call; one
-# tuple, so that a thread reads a set and its own constants together
-_last_step: tuple = (None, None)
-
-
-def _step_constants(p: SystemParams) -> tuple:
-    """:func:`_leg_constants` of ``p``; an invalid ``p`` raises there and is not remembered."""
-    global _last_step
-    last_p, constants = _last_step
-    if last_p is not p:
-        constants = _leg_constants(p)
-        _last_step = p, constants
-    return constants
-
-
 def _half_transition(
     log_in: np.longdouble,
     theta_in: np.longdouble,
@@ -215,7 +149,7 @@ def _half_transition(
     ``saddle`` (ratio of contraction to expansion), and winding speed
     ``twist`` (angle advanced per unit time).
 
-    Below the leg's cut-off (see :func:`_leg_constants`), a few loops in,
+    Below the leg's cut-off (see ``SystemParams._kernel``), a few loops in,
     the corrections are skipped without calling ``exp``.  There the
     rounded exponent ``saddle*eps*log_in`` lies under ``ln(tiny) - 2``,
     up to a few ulps of rounding in the cut-off and the product, so
@@ -265,7 +199,7 @@ def psi21(q: SectionPoint, p: SystemParams) -> SectionPoint:
     checks of ``SectionPoint``, with its messages, and no coercion.
     """
     _require_chart(q, "Out2", "psi21")
-    _, _, a, log_a, _ = _step_constants(p)
+    _, _, a, log_a, _ = p._kernel
     with np.errstate(over="ignore"):  # an overflow is refused by the point's check
         theta, log = q.theta_lifted / a, log_a + q.log_coord
     return _in1_point(theta, log)
@@ -282,7 +216,7 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     A value that leaves the long-double range is refused as
     :class:`~bykov.errors.DegenerateInput`, without NumPy's overflow
     warning, which a caller's filter may turn into an error: an entry
-    inside the parameter set's reach (see :func:`_leg_constants`) cannot
+    inside the parameter set's reach (see ``SystemParams._kernel``) cannot
     overflow, and a step from outside it runs under ``np.errstate``.
 
     The next point is built as :func:`psi21` builds it, from the two long
@@ -302,7 +236,7 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     """
     if q.chart != "In1":
         _require_chart(q, "In1", "poincare")
-    leg1, leg2, a, log_a, (lo, hi) = _step_constants(p)
+    leg1, leg2, a, log_a, (lo, hi) = p._kernel
     log_in, theta_in = q.log_coord, q.theta_lifted
     if lo < log_in and lo < theta_in < hi:
         s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)

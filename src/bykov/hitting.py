@@ -16,7 +16,6 @@ from .flow import (
     SectionPoint,
     _check_crossing,
     _half_transition,
-    _leg_constants,
 )
 from .params import SystemParams, _check_count
 
@@ -131,7 +130,7 @@ def generate_hitting_sequence(
 
 def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequence:
     """The generator's body: the orbit of a checked request, its arrays read-only."""
-    leg1, leg2, a, log_a, _ = _leg_constants(p)
+    leg1, leg2, a, log_a, _ = p._kernel
     E1, S1, w1, _, _, cut1 = leg1
     E2, S2, w2, _, _, cut2 = leg2
     n = 2 * n_pairs + 2

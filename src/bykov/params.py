@@ -43,6 +43,11 @@ __all__ = [
     "matching_params",
 ]
 
+# exp(x) rounds to +0 for every x below this: ln of the smallest subnormal,
+# less a margin of 2 (ln 2 would do) that absorbs the rounding of the cut-offs
+_LN_UNDERFLOW = np.log(np.finfo(LD).smallest_subnormal) - LD(2.0)
+_LD_MAX = np.finfo(LD).max
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -61,7 +66,15 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Parameters of the piecewise-linear two-saddle-focus model."""
+    """Parameters of the piecewise-linear two-saddle-focus model.
+
+    Each object derives its constants once, on first use, and keeps them
+    in its own ``__dict__``, past the frozen ``__setattr__``.  A set that
+    fails validation raises on every use and keeps nothing.  Equality,
+    hashing and ``repr`` see the eight fields alone.  From Python 3.12,
+    threads that first use one object together may each derive; they
+    derive equal constants.
+    """
 
     C1: float
     E1: float
@@ -71,6 +84,79 @@ class SystemParams:
     omega2: float
     a: float
     perturbation: PerturbationSpec | None = None
+
+    @functools.cached_property
+    def _constants(self) -> DerivedConstants:
+        """The saddle indices, loop rates and invariants; validates the set first."""
+        validate_params(self)
+        C1, E1 = asld(self.C1), asld(self.E1)
+        C2, E2 = asld(self.C2), asld(self.E2)
+        w1, w2, a = asld(self.omega1), asld(self.omega2), asld(self.a)
+        gamma1 = C1 / E2
+        gamma2 = C2 / E1
+        delta1 = C1 / E1
+        delta2 = C2 / E2
+        delta = delta1 * delta2
+        tau = (LD(1.0) + gamma1) / E1
+        log_a = np.log(a)
+        inv = InvariantTuple(
+            gamma1=gamma1,
+            gamma2=gamma2,
+            omega_combo=w1 + gamma1 * w2,
+            tau_log_a=tau * log_a,
+        )
+        return DerivedConstants(
+            gamma1=gamma1,
+            gamma2=gamma2,
+            delta1=delta1,
+            delta2=delta2,
+            delta=delta,
+            tau=tau,
+            log_a=log_a,
+            invariants=inv,
+        )
+
+    @functools.cached_property
+    def _kernel(self) -> tuple[tuple, tuple, np.longdouble, np.longdouble, tuple]:
+        """``(leg1, leg2, a, ln a, reach)``: the return-map kernel's constants.
+
+        Each leg is ``(expand, saddle, twist, c, eps, cut)``.  It reads
+        ``_constants``, which validates the set first.  No perturbation is
+        the zero one.  ``saddle`` is the leg's saddle index
+        ``delta1 = C1/E1`` or ``delta2 = C2/E2``.  ``cut`` is the entry
+        log-coordinate below which the leg's perturbation has underflowed:
+        ``(ln(smallest subnormal) - 2) / (saddle*eps)``, or ``+inf`` when
+        ``c`` is 0, so that every entry lies below it (see
+        :func:`bykov.flow._half_transition`).
+
+        The reach ``(-X, X)`` bounds the entries of a return step, ``ln z``
+        and the angle, inside which no value of the step overflows, the
+        reinjection included (see :func:`bykov.flow.poincare`).  A leg
+        takes entries of size up to ``X`` to values below ``g*X + b``, with
+        ``g = 1 + 2*saddle + (1 + twist)/expand`` and ``b = 45 + c``: the
+        radial term ``log1p`` lies between ``ln(2**-64)`` and
+        ``ln(1 + c) <= c``.  So every value of the step stays below
+        ``2*(g2*(g1*X + b1) + b2 + |ln a|)/a``, which ``X`` keeps below
+        half the long-double maximum.  Where that leaves no positive ``X``,
+        ``X`` is 0 and every step is guarded.
+        """
+        d = self._constants
+        pert = self.perturbation or PerturbationSpec()
+        eps = asld(pert.eps)
+
+        def leg(E, saddle, omega, c):
+            c = asld(c)
+            cut = _LN_UNDERFLOW / (saddle * eps) if c != 0.0 else LD(np.inf)
+            return asld(E), saddle, asld(omega), c, eps, cut
+
+        legs = (leg(self.E1, d.delta1, self.omega1, pert.c1),
+                leg(self.E2, d.delta2, self.omega2, pert.c2))
+        a = asld(self.a)
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows is no reach
+            (g1, b1), (g2, b2) = ((1 + 2 * S + (1 + w) / E, 45 + c) for E, S, w, c, _, _ in legs)
+            X = ((_LD_MAX * a / 4 - b2 - abs(d.log_a)) / g2 - b1) / g1
+        X = X if X > 0.0 else LD(0.0)
+        return (*legs, a, d.log_a, (-X, X))
 
 
 @dataclass(frozen=True)
@@ -178,39 +264,13 @@ def _check_count(n, name: str) -> int:
     raise ConstraintViolation(f"{name} must be an integer, got {n!r}")
 
 
-@functools.lru_cache(maxsize=128)
 def derive_constants(p: SystemParams) -> DerivedConstants:
     """Compute the saddle indices and loop rates for a valid parameter set.
 
-    Memoized: equal sets share one result; an invalid set is never stored.
+    Derived once per parameter object and kept on it; an invalid set
+    raises on every call.
     """
-    validate_params(p)
-    C1, E1 = asld(p.C1), asld(p.E1)
-    C2, E2 = asld(p.C2), asld(p.E2)
-    w1, w2, a = asld(p.omega1), asld(p.omega2), asld(p.a)
-    gamma1 = C1 / E2
-    gamma2 = C2 / E1
-    delta1 = C1 / E1
-    delta2 = C2 / E2
-    delta = delta1 * delta2
-    tau = (LD(1.0) + gamma1) / E1
-    log_a = np.log(a)
-    inv = InvariantTuple(
-        gamma1=gamma1,
-        gamma2=gamma2,
-        omega_combo=w1 + gamma1 * w2,
-        tau_log_a=tau * log_a,
-    )
-    return DerivedConstants(
-        gamma1=gamma1,
-        gamma2=gamma2,
-        delta1=delta1,
-        delta2=delta2,
-        delta=delta,
-        tau=tau,
-        log_a=log_a,
-        invariants=inv,
-    )
+    return p._constants
 
 
 def invariant_tuple(p: SystemParams) -> InvariantTuple:
@@ -218,7 +278,7 @@ def invariant_tuple(p: SystemParams) -> InvariantTuple:
 
     Natural logarithms throughout: ``tau_log_a = tau * ln(a)``.
     """
-    return derive_constants(p).invariants
+    return p._constants.invariants
 
 
 def matching_params(

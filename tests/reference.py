@@ -1,7 +1,8 @@
 """What the test modules share, and an equality digest of every public output.
 
 The canonical systems and seed are those of ``bykov.acceptance``.
-``same_bits`` compares value bytes, ``draw_orbit`` draws the random
+``same_bits`` compares value bytes, ``spy_derivations`` records the
+constants each parameter object derives, ``draw_orbit`` draws the random
 orbits of the bitwise tests, and ``half_transition``, ``longhand_orbit``,
 ``longhand_chain`` and ``iterated_poincare`` write the model out longhand.  ``python
 tests/reference.py`` prints ``digest()``, one line per output, for the
@@ -60,6 +61,25 @@ def same_bits(got, want, equal_nan: bool = False) -> bool:
     return (got.dtype == want.dtype and got.shape == want.shape
             and (equal_nan or not np.isnan(got).any())
             and payload(got) == payload(want))
+
+
+def spy_derivations(monkeypatch) -> list[tuple[str, int]]:
+    """``(table, id(params))`` for each table a ``SystemParams`` derives, in order.
+
+    The two tables are ``_constants`` and ``_kernel``, each a
+    ``functools.cached_property``, whose builder the spy wraps while the
+    test runs.  A builder that raises is recorded too.
+    """
+    built = []
+    for name in ("_constants", "_kernel"):
+        prop = SystemParams.__dict__[name]
+
+        def spy(p, name=name, build=prop.func):
+            built.append((name, id(p)))
+            return build(p)
+
+        monkeypatch.setattr(prop, "func", spy)
+    return built
 
 
 def draw_orbit(rng: np.random.Generator, perturbed: bool, smooth: bool = False):

@@ -216,6 +216,18 @@ def test_a_ratio_tail_that_is_not_finite_is_refused_without_a_warning():
         estimate_invariants(_from_legs(s, 2 * s[:5]))
 
 
+def test_two_infinite_loop_durations_are_refused_without_a_warning():
+    # inf/inf in ratio3 and ratio4; warnings are errors here
+    s = LD(4.0) ** np.arange(6, dtype=LD)
+    u = 2 * s[:5]
+    u[3] = u[4] = np.inf
+    h = _from_legs(s, u)
+    ratios = corollary_ratios(h, P).ratios
+    assert np.isnan(ratios[2][-1]) and np.isnan(ratios[3][-1])
+    with pytest.raises(NonConvergent, match="^ratio1 tail has not stabilized"):
+        estimate_invariants(h)
+
+
 def test_a_ratio_with_fewer_than_three_entries_is_refused():
     # a NaN first leg of loop 2 leaves ratio3 two entries; ratio1 and
     # ratio2 drop their NaN and settle on their other entries

@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-import bykov
 from bykov import (
     ConstraintViolation,
     DegenerateInput,
@@ -23,8 +22,8 @@ from bykov import (
     psi21,
 )
 from bykov._num import asld
-from bykov.flow import _half_transition, _leg_constants
-from reference import LD, P, PP, SEED, draw_orbit, half_transition, same_bits
+from bykov.flow import _half_transition
+from reference import LD, P, PP, SEED, draw_orbit, half_transition, same_bits, spy_derivations
 
 
 def test_section_point_rejects_bad_input():
@@ -93,7 +92,7 @@ def test_section_point_is_a_frozen_value():
 def test_phi1_first_cylinder_passage():
     """Entry height 0.05 on the wall of the expanding-height cylinder."""
     transit, log_out, theta_out = _half_transition(
-        np.log(LD("0.05")), LD(1.0), *_leg_constants(P)[0]
+        np.log(LD("0.05")), LD(1.0), *P._kernel[0]
     )
     np.testing.assert_allclose(transit, LD("2.995732273553990993435"), rtol=1e-17)
     np.testing.assert_allclose(log_out, LD("-5.99146454710798198687"), rtol=1e-17)
@@ -102,7 +101,7 @@ def test_phi1_first_cylinder_passage():
 
 def test_phi2_second_cylinder_passage():
     transit, log_out, theta_out = _half_transition(
-        np.log(LD("0.0025")), LD(0.0), *_leg_constants(P)[1]
+        np.log(LD("0.0025")), LD(0.0), *P._kernel[1]
     )
     np.testing.assert_allclose(transit, LD("3.994309698071987991247"), rtol=1e-17)
     np.testing.assert_allclose(log_out, LD("-11.98292909421596397374"), rtol=1e-17)
@@ -160,7 +159,7 @@ def test_transit_times_positive_and_monotone():
     heights = np.sort(rng.uniform(1e-8, 0.999, size=40))
     transits = []
     for z in heights:
-        s, _, _ = _half_transition(LD(float(np.log(z))), LD(0.0), *_leg_constants(P)[0])
+        s, _, _ = _half_transition(LD(float(np.log(z))), LD(0.0), *P._kernel[0])
         assert s > 0
         transits.append(float(s))
     # deeper entry (smaller z) means longer passage
@@ -183,7 +182,7 @@ def test_perturbed_phi1_matches_direct_formula():
 
 def test_poincare_is_the_composition_of_its_legs():
     """poincare = psi21 . Phi2 . (Out1 == In2) . Phi1, bit for bit."""
-    leg1, leg2 = _leg_constants(PP)[:2]
+    leg1, leg2 = PP._kernel[:2]
     q = SectionPoint(chart="In1", theta_lifted=0.7, log_coord=float(np.log(0.05)))
     for _ in range(6):
         s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
@@ -239,8 +238,8 @@ _DRAWN = draw_orbit(np.random.default_rng(4), perturbed=True)[1]
     ids=["equal_copy", "P_and_PP", "perturbed_twin"],
 )
 def test_two_systems_stepped_in_turn_keep_the_bits_of_each_alone(p, p_bar, monkeypatch):
-    # poincare and psi21 remember the constants of the parameter object
-    # stepped last; stepping two in turn replaces them on every call
+    # poincare and psi21 read the constants each parameter object derived
+    # once and keeps; stepping two in turn reads each object's own
     n = 40
 
     def orbit(r):
@@ -251,11 +250,11 @@ def test_two_systems_stepped_in_turn_keep_the_bits_of_each_alone(p, p_bar, monke
             yield q, t
 
     alone = [list(orbit(r)) for r in (p, p_bar)]
-    lookups, constants = [], bykov.flow._leg_constants
-    monkeypatch.setattr(bykov.flow, "_leg_constants", lambda r: lookups.append(r) or constants(r))
+    built = spy_derivations(monkeypatch)
+    p, p_bar = dataclasses.replace(p), dataclasses.replace(p_bar)  # new objects, no constants yet
     in_turn = list(zip(*(orbit(r) for r in (p, p_bar))))
-    # every call looked its own object up: none took the other's constants
-    assert [id(r) for r in lookups] == [id(p), id(p_bar)] * (n + 1)
+    # each object derived its own constants, once, on its first call
+    assert built == [(table, id(r)) for r in (p, p_bar) for table in ("_kernel", "_constants")]
     for k, steps in enumerate(alone):
         for (q, t), (want, want_t) in zip((pair[k] for pair in in_turn), steps, strict=True):
             assert same_bits([q.theta_lifted, q.log_coord, t],
@@ -318,7 +317,7 @@ _FAR = [
 def test_a_step_inside_the_reach_cannot_overflow(p):
     # poincare runs a step from inside the reach without np.errstate, so a
     # value that overflowed there would warn; entries on the reach's edge
-    lo, hi = _leg_constants(p)[-1]
+    lo, hi = p._kernel[-1]
     assert -lo == hi > 0.0
     inside = (np.nextafter(lo, LD(0.0)), np.nextafter(hi, LD(0.0)))
     seen = 0
@@ -342,7 +341,7 @@ def test_an_exit_far_off_inside_the_reach_is_refused_without_a_warning():
     p = SystemParams(C1=2, E1=1, omega1=1, C2=1e6, E2=1, omega2=1, a=0.5,
                      perturbation=PerturbationSpec(c1=1e300, c2=1, eps=0.99))
     q = SectionPoint("In1", 0.0, -1.0)
-    lo, _ = _leg_constants(p)[-1]
+    lo, _ = p._kernel[-1]
     assert lo < q.log_coord
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -369,10 +368,10 @@ def test_a_step_outside_the_reach_is_refused_without_a_warning():
         with pytest.raises(DegenerateInput, match="return time is not finite: inf"):
             poincare(SectionPoint("In1", 0.0, LD("-6e4631")), p)
         # past the reach, a step that stays in range is the composition of its legs
-        lo, _ = _leg_constants(tiny_a)[-1]
+        lo, _ = tiny_a._kernel[-1]
         q = SectionPoint("In1", 1.0, lo * 2)
         nxt, t = poincare(q, tiny_a)
-    leg1, leg2, a, log_a, _ = _leg_constants(tiny_a)
+    leg1, leg2, a, log_a, _ = tiny_a._kernel
     s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
     u, log2, theta2 = _half_transition(log1, theta1, *leg2)
     assert same_bits(t, s + u)
@@ -392,7 +391,7 @@ def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
                 C1=saddle, E1=1, omega1=1, C2=saddle, E2=1, omega2=2, a=0.5,
                 perturbation=PerturbationSpec(c1=c, c2=c, eps=eps),
             )
-            for leg in _leg_constants(p)[:2]:
+            for leg in p._kernel[:2]:
                 _, sad, _, c_ld, eps_ld, cut = leg
                 assert sad == LD(saddle) and -np.inf < cut < 0.0
 
@@ -418,8 +417,8 @@ def test_cut_off_lies_where_the_perturbation_has_underflowed(c):
 
 def test_an_unperturbed_leg_has_no_cut_off():
     half = dataclasses.replace(PP, perturbation=PerturbationSpec(c1=0.0, c2=0.1))
-    assert [leg[-1] for leg in _leg_constants(P)[:2]] == [np.inf, np.inf]
-    cut1, cut2 = (leg[-1] for leg in _leg_constants(half)[:2])
+    assert [leg[-1] for leg in P._kernel[:2]] == [np.inf, np.inf]
+    cut1, cut2 = (leg[-1] for leg in half._kernel[:2])
     assert cut1 == np.inf and -np.inf < cut2 < 0.0
 
 

@@ -25,9 +25,7 @@ from bykov import (
     sojourn_fractions,
     verify_conjugacy,
 )
-import bykov.flow
 import bykov.hitting
-import bykov.params
 from bykov.acceptance import MATCHED_PARAMS, ideal_closed_form_times
 from reference import (
     LD,
@@ -38,6 +36,7 @@ from reference import (
     iterated_poincare,
     longhand_orbit,
     same_bits,
+    spy_derivations,
 )
 
 # not the canonical seed: ln 0.1 taken in long double and rounded to
@@ -167,17 +166,11 @@ def test_perturbed_first_crossing_equals_idealized():
 
 
 def test_constants_derived_once_per_orbit(monkeypatch):
-    calls = []
-
-    def counting(p):
-        calls.append(p)
-        return bykov.params.derive_constants(p)
-
-    for module in (bykov.flow, bykov.hitting):
-        monkeypatch.setattr(module, "derive_constants", counting, raising=False)
-    bykov.flow._leg_constants.cache_clear()
-    generate_hitting_sequence(SEED, P, 6)
-    assert calls == [P]
+    built = spy_derivations(monkeypatch)
+    p = dataclasses.replace(P)  # a new object: no constants derived yet
+    generate_hitting_sequence(SEED, p, 6)
+    generate_hitting_sequence(SEED, p, 7)
+    assert built == [("_kernel", id(p)), ("_constants", id(p))]
 
 
 def _counting_generator(monkeypatch):
@@ -314,7 +307,7 @@ def _tail_start(h, p):
 
     ``n_pairs + 1`` when no loop's entries do, the closing leg's included.
     """
-    (_, S1, _, _, _, cut1), (*_, cut2), _, log_a, _ = bykov.flow._leg_constants(p)
+    (_, S1, _, _, _, cut1), (*_, cut2), _, log_a, _ = p._kernel
     y = log_a + h.log_coord[0::2]
     below = (y < cut1) & (S1 * y < cut2)
     return int(np.argmax(below)) if below.any() else h.n_pairs + 1

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import math
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,19 +21,21 @@ from bykov import (
     SystemParams,
     adjusted_sequence,
     birkhoff_average,
+    corollary_ratios,
     derive_constants,
     generate_hitting_sequence,
     invariant_tuple,
+    lemma_diagnostics,
     matching_params,
     poincare,
+    psi21,
     shift_invariance_check,
     sojourn_fractions,
     validate_params,
     verify_conjugacy,
 )
-import bykov.flow
 from bykov.acceptance import MATCHED_PARAMS
-from reference import LD, P, PP, SEED
+from reference import LD, P, PP, SEED, same_bits, spy_derivations
 
 
 def test_derived_constants_canonical():
@@ -204,24 +210,66 @@ def test_matching_params_drops_perturbation():
     assert g.perturbation is None
 
 
-def test_derived_constants_are_memoized_per_parameter_set():
-    info = derive_constants.cache_info
-    assert info().maxsize is not None
-    assert bykov.flow._leg_constants.cache_info().maxsize is not None
-    derive_constants.cache_clear()
+def test_derived_constants_are_memoized_per_parameter_set(monkeypatch):
+    built = spy_derivations(monkeypatch)
     twin = SystemParams(C1=2.0, E1=1.0, omega1=1.0, C2=3.0, E2=1.5, omega2=2.0, a=0.5)
-    assert derive_constants(twin) is derive_constants(P)
-    assert info().currsize == 1
+    assert derive_constants(twin) is derive_constants(twin)
+    assert same_bits(_constant_bits(twin), _constant_bits(P))
+    assert built == [("_constants", id(twin)), ("_kernel", id(twin))]
     bad = dataclasses.replace(P, C1=0.5)
-    rates = bykov.flow._leg_constants.cache_info().currsize
     q = SectionPoint(chart="In1", theta_lifted=0.0, log_coord=-1.0)
     for _ in range(2):
         with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
             derive_constants(bad)
         with pytest.raises(ConstraintViolation, match="C1 must exceed E1"):
             poincare(q, bad)
-    assert info().currsize == 1
-    assert bykov.flow._leg_constants.cache_info().currsize == rates
+    # an invalid set is validated again on every call, and keeps nothing
+    tries = [("_constants", id(bad)), ("_kernel", id(bad)), ("_constants", id(bad))]
+    assert built[2:] == tries * 2
+    assert "_constants" not in vars(bad) and "_kernel" not in vars(bad)
+
+
+def _constant_bits(p: SystemParams) -> np.ndarray:
+    """Every number ``p`` derives, in one long-double array."""
+    d, inv = derive_constants(p), invariant_tuple(p)
+    leg1, leg2, a, log_a, reach = p._kernel
+    return np.array([d.gamma1, d.gamma2, d.delta1, d.delta2, d.delta, d.tau, d.log_a,
+                     inv.gamma1, inv.gamma2, inv.omega_combo, inv.tau_log_a,
+                     *leg1, *leg2, a, log_a, *reach], dtype=LD)
+
+
+def test_the_constants_live_and_die_with_their_object():
+    p, twin = dataclasses.replace(PP), dataclasses.replace(PP)
+    bits = _constant_bits(p)
+    # the constants are no field: equality, hashing and repr see the eight alone
+    assert "_kernel" in vars(p) and "_kernel" not in vars(twin)
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+    assert len(dataclasses.fields(p)) == 8
+    # a replaced set derives its own constants, not those of the original
+    moved = dataclasses.replace(p, a=0.25)
+    assert "_constants" not in vars(moved) and "_kernel" not in vars(moved)
+    assert derive_constants(moved).log_a == np.log(LD(0.25)) and moved._kernel[2] == LD(0.25)
+    # a copy is equal and keeps the bits
+    copies = [pickle.loads(pickle.dumps(p, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in (*copies, copy.deepcopy(p)):
+        assert got == p and hash(got) == hash(p)
+        assert same_bits(_constant_bits(got), bits)
+    # and the constants go with the object
+    gone = weakref.ref(derive_constants(p))
+    del p, copies, got
+    gc.collect()
+    assert gone() is None
+
+
+def test_one_analysis_derives_the_constants_once(monkeypatch):
+    built = spy_derivations(monkeypatch)
+    p = dataclasses.replace(PP, a=0.4)  # a new object, and no orbit of it alive
+    h = generate_hitting_sequence(SEED, p, 9)
+    poincare(psi21(SEED, p), p)
+    lemma_diagnostics(h, derive_constants(p))
+    corollary_ratios(h, p)
+    assert built == [("_kernel", id(p)), ("_constants", id(p))]
 
 
 @pytest.mark.parametrize("field", ["C1", "C2", "omega1", "omega2", "c1", "c2"])

@@ -27,15 +27,13 @@ first saddle index: ``t_odd[i] = (t_even[i+1] + gamma1*t_even[i]) /
 (1 + gamma1)``, making every adjusted-leg identity exact by
 construction.
 
-The family is that of ``i`` scalar chain steps from ``T[i]``, bit for
-bit.  Carrying every chain is ``n**2/2`` steps, but the chains merge:
-the step is one fixed function of one long double, so once chain ``i``
-lands on the value chain ``i-1`` holds at the same distance from index
-0, the two stay equal and element ``i`` is a copy of element ``i-1``.
-Equality, not closeness, decides a merge, so copying keeps every bit.
-On 1000-loop orbits about 70% of the chains have merged within 17
-steps, and the carry takes about 0.3 of the ``n**2/2`` steps (see
-:func:`_carry_back`).
+The ``i`` chain steps have a closed form: with the step's fixed point
+``x* = tau*ln(a) / (delta - 1)``, element ``i`` of the family is
+``x* + (T[i] - x*) * delta**-i``, evaluated as
+``T[i]*delta**-i - x* * expm1(-i*log1p(delta - 1))``.  As ``delta``
+approaches 1, ``x*`` grows like ``1/(delta - 1)`` and the shorter form
+loses the digits of ``T[i]`` to cancellation, while ``expm1`` and
+``log1p`` keep ``1 - delta**-i`` to a few ulps however small it is.
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ class AdjustedTimes:
     ``T0_family`` is the backward family the limit was extracted from,
     one candidate zeroth duration per measured loop: element ``i``
     carries ``T[i]`` back ``i`` chain steps to index 0.  In the idealized
-    model the family is constant; in general successive differences equal
-    the recursion residuals scaled by ``delta**-(i+1)``.
+    model the family is constant up to rounding; in general successive
+    differences equal the recursion residuals scaled by ``delta**-(i+1)``.
     ``residual_tail_bound`` bounds how far the true limit can sit beyond
     its last element.  ``t_even``/``t_odd`` are offset-anchored,
     ``t_even_zero``/``t_odd_zero`` are the zero-anchored representative.
@@ -77,58 +75,20 @@ class AdjustedTimes:
     residual_tail_bound: float
 
 
-# passes over every chain before the merge test (see _carry_back)
-_HEAD_PASSES = 16
-
 _NEG_INF, _INF = LD(-np.inf), LD(np.inf)
 _FLOOR = LD(16.0) * np.finfo(LD).eps  # a difference at most this times max |family| is noise
 
 
 def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
-    """Carry each ``T[i]`` back ``i`` chain steps, copying chains that merge.
+    """Carry each ``T[i]`` back ``i`` chain steps, in the module docstring's closed form.
 
-    Pass ``j`` applies the chain step ``B(x) = (x + tau*ln a) / delta``
-    to every chain ``i >= j``, in place, so element ``i`` takes exactly
-    ``i`` steps in the order a scalar chain takes them.  After pass ``j``
-    chain ``i`` sits ``i - j`` steps from index 0 and chain ``i-1`` one
-    step closer.  If pass ``j+1`` takes chain ``i`` to the value chain
-    ``i-1`` holds after pass ``j``, the two meet at the same distance and
-    take the same rounded steps from there: ``family[i] == family[i-1]``.
-
-    The first ``_HEAD_PASSES`` passes run over every chain and finish the
-    chains up to that index.  The next pass is compared with the last of
-    them, which finds every merge made by then.  Later passes run over the
-    chains that own their value, and one gather copies each owner's value
-    to the chains that merged into it.  On the 64 ``long_orbit`` orbits of the benchmark a
-    test at pass 1 leaves about half of the chains to carry, and the test
-    at pass 17 about 0.3.  The constants are 0-d arrays, which NumPy
-    takes faster than long-double scalars.
+    An infinite ``T[i]`` whose ``delta**-i`` underflowed to 0 gives NaN,
+    unwarned; the caller refuses it as a loop that is not finite.
     """
-    c, delta = np.array(d.invariants.tau_log_a), np.array(d.delta)
-    family = np.array(T, dtype=LD)
-    for j in range(1, min(_HEAD_PASSES + 1, len(family))):
-        tail = family[j:]
-        tail += c
-        tail /= delta
-    if len(family) <= _HEAD_PASSES + 1:  # every chain is finished
-        return family
-    rest = family[_HEAD_PASSES:]  # chain _HEAD_PASSES + r is r steps from index 0
-    step = rest[1:] + c
-    step /= delta
-    own = np.ones(len(rest), dtype=bool)
-    own[1:] = step != rest[:-1]
-    rest[1:] = step
-    owners = own.nonzero()[0]
-    v = rest[owners]
-    done = 1
-    for m, r in enumerate(owners[1:].tolist(), 1):
-        tail = v[m:]  # every owner from r on takes r - done more steps
-        for _ in range(r - done):
-            tail += c
-            tail /= delta
-        done = r
-    rest[1:] = v[own[1:].cumsum()]
-    return family
+    i = np.arange(len(T), dtype=LD)
+    delta, step = d.delta, d.delta - LD(1.0)
+    with np.errstate(invalid="ignore"):
+        return T * delta**-i - d.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step))
 
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:

@@ -4,7 +4,8 @@ The canonical systems and seed are those of ``bykov.acceptance``.
 ``same_bits`` compares value bytes, ``spy_derivations`` records the
 constants each parameter object derives, ``draw_orbit`` draws the random
 orbits of the bitwise tests, and ``half_transition``, ``longhand_orbit``,
-``longhand_chain`` and ``iterated_poincare`` write the model out longhand.  ``python
+``longhand_chain`` and ``iterated_poincare`` write the model out longhand.
+``exact`` and ``exact_chain`` carry long doubles into mpmath.  ``python
 tests/reference.py`` prints ``digest()``, one line per output, for the
 ``bykov`` on ``PYTHONPATH`` (this repo's ``src`` when none is given).
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
+import mpmath
 import numpy as np
 
 import bykov
@@ -186,6 +188,41 @@ def longhand_chain(value, steps: int, d):
     return value
 
 
+def exact(x) -> mpmath.mpf:
+    """A long double or float as an mpmath number, exactly, through ``as_integer_ratio()``.
+
+    The power of 2 in the numerator is moved to the exponent first:
+    mpmath normalizes an integer with many trailing zero bits slowly, and
+    durations near the long-double maximum have 16,000-bit numerators.
+    """
+    num, den = x.as_integer_ratio()  # den is a power of 2
+    zeros = max((num & -num).bit_length() - 1, 0)
+    return mpmath.ldexp(num >> zeros, zeros - den.bit_length() + 1)
+
+
+def exact_chain(T, d) -> tuple[list, list]:
+    """``(chain, floor)``: each ``T[i]`` carried back ``i`` chain steps, at 60 digits.
+
+    ``i`` steps of ``(x + tau*ln a) / delta`` take ``T[i]`` to
+    ``x* + (T[i] - x*) * delta**-i``, with ``x* = tau*ln a / (delta - 1)``,
+    on the exact values of the long doubles ``T``, ``delta`` and
+    ``tau*ln a``.  The floor of element ``i`` is ``eps`` times the sum of
+    the magnitudes of the two terms of ``T[i]*delta**-i - x* *
+    expm1(-i*ln delta)``: ``eps * (|T[i]|*delta**-i + |x*|*|expm1(-i*ln delta)|)``.
+    Both lists hold ``mpmath.mpf`` values, to be compared at 60 digits.
+    """
+    with mpmath.workdps(60):
+        delta = exact(d.delta)
+        fixed = exact(d.invariants.tau_log_a) / (delta - 1)
+        ln_delta, eps = mpmath.log(delta), exact(np.finfo(LD).eps)
+        chain, floor = [], []
+        for i, t in enumerate(map(exact, T)):
+            shrink = delta**-i
+            chain.append(fixed + (t - fixed) * shrink)
+            floor.append(eps * (abs(t) * shrink + abs(fixed * mpmath.expm1(-i * ln_delta))))
+    return chain, floor
+
+
 def extract_limit(family):
     """``(T0, residual_tail_bound)`` of a backward family, in ``np.diff`` and ``np.max``."""
     diffs = np.abs(np.diff(family))
@@ -273,9 +310,10 @@ def digest() -> dict[str, str]:
     hashes its type and message, a warning its category and message,
     under the name of the call.  Then 16 orbits from seed 6, drawn the
     same way, run 64 loops (128 smooth legs) under names ending in
-    ``.n64``: long enough that the backward carry of the adjusted times
-    passes its merge test and carries only the chains that own their
-    value.  Last, the ``EDGE_CASES``, each under its own ``edge.*`` name.
+    ``.n64``: four times the loops, so that the adjusted times carry
+    durations back through ``delta**-63`` and the re-anchored families of
+    ``shift_invariance_check`` start as late as loop 40.  Last, the
+    ``EDGE_CASES``, each under its own ``edge.*`` name.
     Holds for the 80-bit x87 long double only.
     """
     if np.finfo(LD).nmant != 63:

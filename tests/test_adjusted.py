@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -23,7 +24,7 @@ from bykov import (
     shift_invariance_check,
 )
 from bykov.adjusted import _carry_back, _extract_limit
-from reference import LD, P, PP, SEED, extract_limit, longhand_chain, same_bits
+from reference import LD, P, PP, SEED, exact, exact_chain, extract_limit, longhand_chain, same_bits
 
 D = derive_constants(P)
 
@@ -49,35 +50,49 @@ def test_backward_chain_step():
     np.testing.assert_allclose(family[1], LD("6.990041971625978984682"), rtol=1e-17)
 
 
-def _assert_carry_is_longhand(h, d, N):
-    """``T0_family``, ``T_seq`` and ``shift_invariance_check(h, d, N)`` bitwise against longhand.
+def _floors_off(family, T, d) -> float:
+    """The largest distance of ``family[i]`` from ``exact_chain(T, d)``, in floors of element ``i``."""
+    chain, floor = exact_chain(T, d)
+    with mpmath.workdps(60):
+        return max(float(abs(exact(x) - y) / f) for x, y, f in zip(family, chain, floor))
 
-    Chain ``i`` is carried ``i - N`` steps for the check at ``N``, then
-    ``N`` more for the family: the same steps as in one chain.
+
+def _assert_family_is_the_exact_chain(h, d, N):
+    """``T0_family`` and the family re-anchored at ``N`` lie within 2 floors of the exact chain.
+
+    ``T_seq`` is the forward recursion from the family's last element, and
+    ``shift_invariance_check(h, d, N)`` the largest deviation of the
+    re-anchored family from ``T_seq[N]``, both bit for bit.  Returns how
+    many floors ``T0_family`` lies off.
     """
     T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
-    family_N = [longhand_chain(T[i], i - N, d) for i in range(N, len(T))]
-    family = [longhand_chain(T[i], i, d) for i in range(N)]
-    family += [longhand_chain(x, N, d) for x in family_N]
     adj = adjusted_sequence(h, d)
-    assert same_bits(adj.T0_family, np.array(family, dtype=LD))
-    T_seq = [family[-1]]  # T0 is the family's last element
+    off = _floors_off(adj.T0_family, T, d)
+    assert off <= 2
+    family_N = _carry_back(T[N:], d)
+    assert _floors_off(family_N, T[N:], d) <= 2
+    T_seq = [adj.T0_family[-1]]
     for _ in range(1, len(T)):
         T_seq.append(d.delta * T_seq[-1] - d.invariants.tau_log_a)
     assert same_bits(adj.T_seq, np.array(T_seq, dtype=LD))
     if N < h.n_pairs - 2:
-        expected = float(np.max(np.abs(np.array(family_N, dtype=LD) - T_seq[N])))
+        expected = float(np.max(np.abs(family_N - T_seq[N])))
         assert same_bits(shift_invariance_check(h, d, N), expected)
+    return off
 
 
 @pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
-def test_family_matches_longhand_chain_bitwise(params):
+def test_family_is_within_two_floors_of_the_exact_chain(params):
     h = generate_hitting_sequence(SEED, params, 200)
-    for N in range(4):
-        _assert_carry_is_longhand(h, derive_constants(params), N)
+    d = derive_constants(params)
+    off = max(_assert_family_is_the_exact_chain(h, d, N) for N in range(4))
+    # the scalar chain, rounded at every step, is the baseline to beat
+    T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
+    longhand = np.array([longhand_chain(T[i], i, d) for i in range(len(T))], dtype=LD)
+    assert off <= _floors_off(longhand, T, d)
 
 
-# saddle indices near 1 keep chains apart for many steps; larger ones merge them early
+# saddle indices near 1 put the fixed point of the chain far from the durations
 _index = st.one_of(st.floats(1.0, 1.0 + 1e-6, exclude_min=True), st.floats(1.0, 4.0, exclude_min=True))
 _rate = st.floats(0.25, 4.0)
 
@@ -88,14 +103,22 @@ _rate = st.floats(0.25, 4.0)
     c2=st.floats(0.0, 0.1), eps=st.floats(0.3, 0.8), theta0=st.floats(0.0, 6.3),
     z0=st.floats(0.01, 0.5), n=st.integers(2, 300), N=st.integers(0, 300),
 )
-def test_merged_carry_is_the_longhand_chain(E1, E2, d1, d2, w1, w2, a, perturbed, c1, c2, eps,
-                                            theta0, z0, n, N):
+def test_carry_is_within_two_floors_of_the_exact_chain(E1, E2, d1, d2, w1, w2, a, perturbed, c1,
+                                                       c2, eps, theta0, z0, n, N):
     C1, C2 = E1 * d1, E2 * d2
     assume(C1 > E1 and C2 > E2)
     pert = PerturbationSpec(c1=c1, c2=c2, eps=eps) if perturbed else None
     p = SystemParams(C1=C1, E1=E1, omega1=w1, C2=C2, E2=E2, omega2=w2, a=a, perturbation=pert)
     h = generate_hitting_sequence(SectionPoint("Out2", theta0, float(np.log(z0))), p, n)
-    _assert_carry_is_longhand(h, derive_constants(p), min(N, n - 1))
+    _assert_family_is_the_exact_chain(h, derive_constants(p), min(N, n - 1))
+
+
+def test_the_family_at_the_edge_of_the_long_double_range():
+    # delta = 81 and the last loop count the generator accepts: the late
+    # durations near the largest long double, delta**-i near the smallest
+    p = SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.999)
+    h = generate_hitting_sequence(SectionPoint("Out2", 0.0, -1e-3), p, 2585)
+    _assert_family_is_the_exact_chain(h, derive_constants(p), 1000)
 
 
 def _with_durations(T):
@@ -108,23 +131,32 @@ def _with_durations(T):
 
 
 def test_a_family_in_which_every_chain_merges():
-    # T[i-1] = B(T[i]), built backwards: each chain lands on its neighbour
-    # at the first step, and the family is T[0] throughout
+    # T[i-1] = B(T[i]), built backwards with the scalar chain: each rounded
+    # chain lands on its neighbour at its first step
     T = [LD("1e40")]
     for _ in range(299):
         T.append(longhand_chain(T[-1], 1, D))
     T = np.array(T[::-1], dtype=LD)
-    h = _with_durations(T)
-    assert same_bits(adjusted_sequence(h, D).T0_family, np.full(300, T[0]))
-    _assert_carry_is_longhand(h, D, 20)
+    _assert_family_is_the_exact_chain(_with_durations(T), D, 20)
 
 
 def test_a_family_in_which_no_chain_merges():
-    # random durations and a saddle index near 1: every chain keeps its value
+    # random durations and a saddle index near 1: no two rounded chains meet
     d = derive_constants(dataclasses.replace(P, C1=P.E1 * (1 + 2**-20), C2=P.E2 * (1 + 2**-20)))
     h = _with_durations(np.random.default_rng(12).uniform(1.0, 2.0, 300).astype(LD))
     assert len(np.unique(adjusted_sequence(h, d).T0_family)) == 300
-    _assert_carry_is_longhand(h, d, 20)
+    _assert_family_is_the_exact_chain(h, d, 20)
+
+
+@pytest.mark.parametrize("n, k", [(3000, -1), (3000, 5), (20, -1)])
+def test_an_infinite_duration_is_refused_without_a_warning(n, k):
+    # at delta = 81, delta**-2999 is 0, and the carry of an infinite last
+    # duration is inf * 0; warnings are errors here
+    d = derive_constants(SystemParams(C1=9, E1=1, omega1=1, C2=9, E2=1, omega2=2, a=0.5))
+    T = np.ones(n, dtype=LD)
+    T[k] = np.inf
+    with pytest.raises(InvalidTimes, match=rf"^adjusted loop 0 is not finite: .* n={n}$"):
+        adjusted_sequence(_with_durations(T), d)
 
 
 _EPS = np.finfo(LD).eps  # the floor is 16 eps times the largest |family|

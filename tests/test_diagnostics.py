@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,21 @@ def test_a_ratio_with_fewer_than_three_entries_is_refused():
     assert [np.count_nonzero(~np.isnan(r)) for r in corollary_ratios(h, P).ratios[:3]] == [4, 4, 2]
     assert _tails_settle(h) == [True, True, False]
     with pytest.raises(NonConvergent, match="^ratio3 tail has not stabilized"):
+        estimate_invariants(h)
+
+
+def test_constant_legs_are_refused():
+    # every ratio settles, but the least-squares slope for gamma2 has no spread
+    with pytest.raises(NonConvergent, match="^sojourn legs are constant; cannot estimate gamma2$"):
+        estimate_invariants(_from_legs([2.0] * 7, [3.0] * 6))
+
+
+def test_a_degenerate_angle_relation_is_refused():
+    # every angle 0: the two-row system for (1/a, omega1) is singular
+    s = LD(4.0) ** np.arange(7, dtype=LD)
+    h = _from_legs(s, 2 * s[:6])
+    h = dataclasses.replace(h, theta=np.zeros_like(h.times))
+    with pytest.raises(NonConvergent, match="^angle relation is degenerate for this seed"):
         estimate_invariants(h)
 
 

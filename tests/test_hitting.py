@@ -501,6 +501,15 @@ def test_a_crossing_off_is_refused_where_no_leg_refuses(seed, p, n_pairs):
     assert _refusal(lambda: generate_hitting_sequence(seed, p, n_pairs)) == want
 
 
+def test_an_absorbed_transit_is_refused():
+    # C2 and E2 near 1e300: the first V2 transit, about 1e-300, vanishes in
+    # the time it is added to, so two crossings share a hitting time
+    p = SystemParams(C1=2, E1=1, omega1=1, C2=3e300, E2=1.5e300, omega2=2, a=0.5)
+    want = ("DegenerateInput", "hitting times failed to increase strictly")
+    assert _refusal(lambda: longhand_orbit(SEED, p, 3)) == want
+    assert _refusal(lambda: generate_hitting_sequence(SEED, p, 3)) == want
+
+
 def test_a_closing_log_past_the_range_is_refused_alike_by_the_return_map():
     # delta = 81: 2584 return steps stay in range, and the closing V1 leg's
     # log radius overflows to -inf; the return map's closing leg runs under

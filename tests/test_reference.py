@@ -18,7 +18,7 @@ from bykov import BykovError, corollary_ratios, generate_hitting_sequence
 from reference import LD, P, SEED, _encode, same_bits
 
 DIGESTS = {
-    "adjusted_sequence": "63155bc2f7e99d01bff5506aecfbe5d191a265ff70a398164e628b36922b9ede",
+    "adjusted_sequence": "e0346f47344e0e0c357b20a1eaf417560fb13d1d09ffd661785f199c87a969bd",
     "birkhoff_average.piecewise": "6562eafc969d9a0a7571ff69cca53e2a1bbbe0f5a5287fe4802234b93da1873d",
     "birkhoff_average.smooth": "7af0caaad7e8eaa57ba52586afe236cfc66144b941e2cc4cf63d0f82dd504f06",
     "corollary_ratios": "fa27fd5ab4bc8000fc7424c4e29f80507e17acfe026f4a83140a1e8723f2c374",
@@ -29,16 +29,16 @@ DIGESTS = {
     "lemma_diagnostics": "f374a7f4487abf019bafee36e637338372f522a75677a623617600870cdcb453",
     "perturbation_decay_slope": "8ca3f37e1bf6e8896a6b7471d30324f226506bef6bd0b7ec7a2cdd54ce8e086d",
     "poincare": "65b5822c16264e516070bb5dd3b32cb58212e30134f818b4055c6d703a427ab9",
-    "shift_invariance_check": "f014491d117f3291f3d8d6adcf86a6c84be66523fc9562786e5ffc9256ec18ec",
+    "shift_invariance_check": "1bdbc83d85cf7be4972e814bd06bb7e444ea7b79a82c6952e11a52fee2fffc0a",
     "sojourn_fractions": "09c47638dccd9832aaee4a14ad1749fa3a11ffcd614bc41795e002c18205fef5",
-    "verify_conjugacy": "4b619729fc20f700b06b7f766b62d7f3dd1503e21001f3f249ce0ab448fd230c",
-    # 64-loop orbits, whose backward carry passes its merge test
-    "adjusted_sequence.n64": "d067fbd6fd9b05a23a03dd001392645e7d68cccb789732deb172d6aa2fbbde65",
+    "verify_conjugacy": "51b93ff23bf8aeb32bd69dccb94f54d8d3d802438878a372d34d0a4e9c09a276",
+    # 64-loop orbits, four times as long
+    "adjusted_sequence.n64": "735ceeb2b2e6cc6bb0d34116dc021a48e3f084741c899ecdf073113596248afc",
     "birkhoff_average.smooth.n64": "85d67ca12fd738fbbe450e5cadf6bcb2c45c4ca45538eab84869219c883f4731",
     "generate_hitting_sequence.n64": "d95494fb4d5912cf5a48e27e4754189b73e8de3515c14d7cd202b20bce76b6f9",
     "historic_certificate.smooth.n64": "d99ca9e12dd54b42808f86445dbfd1046dc8689976b445029b0ff3849c5f4a7e",
     "poincare.n64": "878c5b28e0ac575ef39dc915b52e9eea78edb185313df3828f6dcb8de33b65d3",
-    "shift_invariance_check.n64": "10804ad11190ffab3f9ec182a979ad9574fe69a541440696ac22a220ee613710",
+    "shift_invariance_check.n64": "e46f91c32c3b78000877a2138a82481a6537cbe6097c7583cb0c7e6667a90c4a",
     # inputs that the random draws never reach (reference.EDGE_CASES)
     "edge.birkhoff_average.smooth": "5f20918a45b526fc282370006a8b293265c8224a93daad50f789d4e5e84f28b5",
     "edge.estimate_invariants.near_one": "b1a64ac447109a1121a38182c1c4afbb7b1b256c2ac27f3c434dcbb31f9dc827",

@@ -5,16 +5,26 @@ extended-precision ``longdouble``.  The sequences of interest span seven
 orders of magnitude within a dozen returns, and the diagnostics difference
 nearly-equal quantities of size ~1e7 down at the 1e-10 level, which is
 below double-precision differencing noise.  On x86-64 ``longdouble`` is the
-80-bit format (eps ~ 1.1e-19), which leaves comfortable headroom.
+80-bit format (eps ~ 1.1e-19), which leaves comfortable headroom.  Where
+``longdouble`` has fewer than its 63 fraction bits (it is float64 under
+MSVC and on Apple arm64), importing the package raises ``ImportError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LD", "PI", "TWO_PI", "asld"]
+__all__ = ["LD", "PI", "TWO_PI", "asld", "precision_info"]
 
 LD = np.longdouble
+
+_FINFO = np.finfo(LD)
+if _FINFO.nmant < 63:
+    raise ImportError(
+        f"bykov needs np.longdouble in the x87 80-bit extended format (63 fraction bits) "
+        f"or wider; here it has {_FINFO.nmant} fraction bits"
+        + (", the IEEE binary64 format of float64" if _FINFO.nmant == 52 else "")
+    )
 
 PI = np.arccos(LD(-1.0))
 TWO_PI = LD(2.0) * PI
@@ -25,3 +35,9 @@ def asld(x) -> np.longdouble:
     if isinstance(x, np.longdouble):
         return x
     return LD(x)
+
+
+def precision_info() -> dict:
+    """``np.longdouble``'s fraction bits and epsilon, and the NumPy version, JSON-serializable."""
+    return {"longdouble_nmant": int(_FINFO.nmant), "longdouble_eps": float(_FINFO.eps),
+            "numpy": np.__version__}

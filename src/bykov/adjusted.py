@@ -133,14 +133,16 @@ def adjusted_sequence(
 
     delta, tau_log_a = d.delta, d.invariants.tau_log_a
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        # past the measured loops, the recursion stops at its first duration
-        # that is not finite: that loop is refused, and no later one is reached
+        # the measured loops, untested; past them, the recursion stops at its
+        # first duration that is not finite: that loop is refused, and no
+        # later one is reached
         x, seq = T0, [T0]
-        for _ in range(1, max(n, len(T))):
+        for _ in range(1, len(T)):
             x = delta * x - tau_log_a
             seq.append(x)
-            if len(seq) >= len(T) and not (_NEG_INF < x < _INF):
-                break
+        while len(seq) < n and _NEG_INF < x < _INF:
+            x = delta * x - tau_log_a
+            seq.append(x)
         T_seq_full = np.array(seq, dtype=LD)
         offset = np.add.reduce(T - T_seq_full[: len(T)])
 

@@ -19,13 +19,15 @@ Four cross-sections bound the sojourns:
 
     In1 --Phi1--> Out1 == In2 --Phi2--> Out2 --psi21--> In1 --> ...
 
-The local transition maps ``Phi1`` and ``Phi2`` are written once, as the
-two legs of one return step that :func:`poincare` and the hitting-time
-generator share.  ``psi21`` models the global reinjection: heights shrink
-by the factor ``a`` and angles are scaled by ``1/a``.  All coordinates
-are kept in log space; the heights involved decay like ``exp(-delta^n)``
-and would leave double precision (let alone linear coordinates) within a
-handful of loops.
+The local transition maps ``Phi1`` and ``Phi2`` are written once, as one
+kernel for both legs of a return step.  It serves the hitting-time
+generator's head, the legs at or above their cut-offs and the guarded
+step; :func:`poincare` writes an in-reach leg below its cut-off inline,
+as the kernel's idealized branch, operation for operation.  ``psi21``
+models the global reinjection: heights shrink by the factor ``a`` and
+angles are scaled by ``1/a``.  All coordinates are kept in log space; the
+heights involved decay like ``exp(-delta^n)`` and would leave double
+precision (let alone linear coordinates) within a handful of loops.
 
 Angles are tracked as *lifted* reals, never reduced mid-computation: the
 winding over one sojourn grows with the sojourn length, and the reduced
@@ -161,12 +163,12 @@ def _half_transition(
     ``-0``, so adding either leaves it as it is.  With ``c == 0`` the
     cut-off is ``+inf`` and the idealized transit is all there is.
 
-    The hitting-time generator calls this kernel for an orbit's head only.
-    From the first loop whose two entries lie below their cut-offs it
-    computes the idealized leg above, operation for operation, two
-    recurrences as scalars and the rest as arrays: no later entry lies
-    above its cut-off again (see
-    :func:`~bykov.hitting.generate_hitting_sequence`).
+    :func:`poincare` calls it for a leg at or above its cut-off, and the
+    hitting-time generator for an orbit's head only.  From the first loop
+    whose two entries lie below their cut-offs the generator computes the
+    idealized leg above, operation for operation, two recurrences as
+    scalars and the rest as arrays: no later entry lies above its cut-off
+    again (see :func:`~bykov.hitting.generate_hitting_sequence`).
     """
     transit = -log_in / expand
     log_out = saddle * log_in
@@ -213,6 +215,10 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     idealized model the heights obey ``ln z' = ln a + delta * ln z``
     exactly.
 
+    A leg of an in-reach step whose entry lies below the leg's cut-off is
+    written inline, as the kernel's idealized branch, which it equals bit
+    for bit; the kernel computes the other legs.
+
     A value that leaves the long-double range is refused as
     :class:`~bykov.errors.DegenerateInput`, without NumPy's overflow
     warning, which a caller's filter may turn into an error: an entry
@@ -239,9 +245,19 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     leg1, leg2, a, log_a, (lo, hi) = p._kernel
     log_in, theta_in = q.log_coord, q.theta_lifted
     if lo < log_in and lo < theta_in < hi:
-        s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
+        E1, S1, w1, _, _, cut1 = leg1
+        if log_in < cut1:
+            s = -log_in / E1
+            log1, theta1 = S1 * log_in, theta_in + w1 * s
+        else:
+            s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
         if log1 < _ZERO:  # else the V2 leg would take exp of a positive log
-            u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+            E2, S2, w2, _, _, cut2 = leg2
+            if log1 < cut2:
+                u = -log1 / E2
+                log2, theta2 = S2 * log1, theta1 + w2 * u
+            else:
+                u, log2, theta2 = _half_transition(log1, theta1, *leg2)
             # the Out2 point reinjected as psi21 does
             theta, log = theta2 / a, log_a + log2
             if log2 < _ZERO and _NEG_INF < log and _NEG_INF < theta < _INF:

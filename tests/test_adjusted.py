@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
 
 import mpmath
@@ -310,6 +311,53 @@ def test_a_grid_past_the_long_double_range_is_refused():
             with pytest.raises(InvalidTimes, match=rf"adjusted loop 8191 is not finite: .* n={n}$"):
                 adjusted_sequence(h, D, n)
         assert np.isfinite(adjusted_sequence(h, D, 8191).t_even[-1])
+
+
+def _longhand_forward(T0, T, d, n: int):
+    """``T_seq`` from ``T0`` and the offset grids, the recursion and sums one scalar at a time.
+
+    Also the first loop whose end time ``t_even[k+1]`` or odd time
+    ``t_odd[k]`` is not finite, or ``None``.
+    """
+    x, T_seq = T0, [T0]
+    for _ in range(1, max(n, len(T))):
+        x = d.delta * x - d.invariants.tau_log_a
+        T_seq.append(x)
+    offset = np.add.reduce(T - np.array(T_seq[: len(T)], dtype=LD))
+    t_even, t_odd, first = [LD(0.0) + offset], [], None
+    t = LD(0.0)  # zero-anchored
+    for k in range(n):
+        nxt = t + T_seq[k]
+        t_odd.append((nxt + d.gamma1 * t) / (LD(1.0) + d.gamma1) + offset)
+        t_even.append(nxt + offset)
+        t = nxt
+        if first is None and not np.isfinite([t_even[-1], t_odd[-1]]).all():
+            first = k
+    return T_seq[:n], t_even, t_odd, first
+
+
+@pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
+def test_the_forward_recursion_matches_longhand_bitwise(params):
+    # n inside, at and past the measured loops, and up to the first loop the
+    # recursion carries out of the long-double range, which is refused
+    h, d = generate_hitting_sequence(SEED, params, 12), derive_constants(params)
+    T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
+    T0 = adjusted_sequence(h, d).T0
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, first = _longhand_forward(T0, T, d, 9000)
+    assert first is not None and first > 12
+    for n in (1, len(T) - 1, len(T), len(T) + 1, first):
+        got = adjusted_sequence(h, d, n)
+        T_seq, t_even, t_odd, _ = _longhand_forward(T0, T, d, n)
+        assert same_bits(got.T_seq, np.array(T_seq, dtype=LD))
+        assert same_bits(got.t_even, np.array(t_even, dtype=LD))
+        assert same_bits(got.t_odd, np.array(t_odd, dtype=LD))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = (f"adjusted loop {first} is not finite: the exact recursion leaves the "
+                   f"long-double range before n={first + 1}")
+        with pytest.raises(InvalidTimes, match=f"^{re.escape(message)}$"):
+            adjusted_sequence(h, d, first + 1)
 
 
 def test_zero_anchored_grid_starts_at_zero(ideal):

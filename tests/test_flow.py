@@ -180,27 +180,43 @@ def test_perturbed_phi1_matches_direct_formula():
     assert same_bits(h.theta[1], theta_out)
 
 
+def _composed_step(q: SectionPoint, p: SystemParams):
+    """``psi21 . Phi2 . Phi1`` through the kernel, and the return time."""
+    leg1, leg2 = p._kernel[:2]
+    s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
+    u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+    return psi21(SectionPoint("Out2", theta2, log2), p), s + u
+
+
 def test_poincare_is_the_composition_of_its_legs():
     """poincare = psi21 . Phi2 . (Out1 == In2) . Phi1, bit for bit."""
-    leg1, leg2 = PP._kernel[:2]
     q = SectionPoint(chart="In1", theta_lifted=0.7, log_coord=float(np.log(0.05)))
     for _ in range(6):
-        s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
-        u, log2, theta2 = _half_transition(log1, theta1, *leg2)
-        expected = psi21(SectionPoint("Out2", theta2, log2), PP)
+        expected, t = _composed_step(q, PP)
         q, sojourn = poincare(q, PP)
         assert same_bits(q.theta_lifted, expected.theta_lifted)
         assert same_bits(q.log_coord, expected.log_coord)
-        assert same_bits(sojourn, s + u)
+        assert same_bits(sojourn, t)
 
 
-@pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
-def test_iterated_poincare_matches_the_generator_bitwise(params):
-    seed = SectionPoint(chart="Out2", theta_lifted=0.7, log_coord=float(np.log(0.05)))
-    h = generate_hitting_sequence(seed, params, 100)
+# a drawn perturbed system
+_DRAWN = draw_orbit(np.random.default_rng(4), perturbed=True)[1]
+_SEED_07 = SectionPoint(chart="Out2", theta_lifted=0.7, log_coord=float(np.log(0.05)))
+
+
+@pytest.mark.parametrize(
+    "seed, params, n",
+    [(_SEED_07, P, 100), (_SEED_07, PP, 100),
+     # the 1000-loop drawn orbits that the long_orbit benchmark runs
+     (*draw_orbit(np.random.default_rng(27), perturbed=False), 1000),
+     (*draw_orbit(np.random.default_rng(27), perturbed=True), 1000)],
+    ids=["idealized", "perturbed", "drawn_idealized_1000", "drawn_perturbed_1000"],
+)
+def test_iterated_poincare_matches_the_generator_bitwise(seed, params, n):
+    h = generate_hitting_sequence(seed, params, n)
     a = LD(params.a)
     q = psi21(seed, params)
-    for k in range(1, 101):
+    for k in range(1, n + 1):
         q, sojourn = poincare(q, params)
         assert q.chart == "In1"
         for got, want in (
@@ -209,6 +225,39 @@ def test_iterated_poincare_matches_the_generator_bitwise(params):
             (sojourn, h.sojourns_V1[k - 1] + h.sojourns_V2[k - 1]),
         ):
             assert same_bits(got, want)
+
+
+_ONE_SIDED = [dataclasses.replace(PP, perturbation=PerturbationSpec(c1=c1, c2=c2, eps=0.5))
+              for c1, c2 in ((0.1, 0.0), (0.0, 0.1))]
+
+
+@pytest.mark.parametrize("p", [PP, _DRAWN, *_ONE_SIDED],
+                         ids=["perturbed", "drawn", "c1_only", "c2_only"])
+def test_a_step_at_each_cut_off_is_the_composition_of_its_legs(p):
+    # poincare writes a leg below its cut-off inline and calls the kernel
+    # at or above it; entries on either side of each cut-off, and on it
+    leg1, leg2 = p._kernel[:2]
+    (_, S1, *_, cut1), cut2 = leg1, leg2[-1]
+    entries = []
+    if cut1 < np.inf:
+        entries += [np.nextafter(cut1, LD(-np.inf)), cut1, np.nextafter(cut1, LD(0.0))]
+    if cut2 < np.inf:
+        # the V2 leg enters near S1*log_in: a V1 correction there, if any,
+        # is far below the ulp
+        near = [cut2 / S1]
+        for _ in range(4):
+            near = [np.nextafter(near[0], LD(-np.inf)), *near, np.nextafter(near[-1], LD(0.0))]
+        sides = {int(np.sign(_half_transition(x, LD(0.7), *leg1)[1] - cut2)) for x in near}
+        assert {-1, 1} <= sides and (0 in sides or S1 != 2)  # S1 = 2 lands on cut2 exactly
+        entries += near
+    assert entries
+    for log_in in entries:
+        for theta_in in (LD(0.7), LD(2.5), LD(-4.0)):
+            q = SectionPoint("In1", theta_in, log_in)
+            got, t = poincare(q, p)
+            want, want_t = _composed_step(q, p)
+            assert same_bits([got.theta_lifted, got.log_coord, t],
+                             [want.theta_lifted, want.log_coord, want_t])
 
 
 def test_poincare_points_are_those_of_the_public_constructor():
@@ -226,10 +275,6 @@ def test_poincare_points_are_those_of_the_public_constructor():
             assert type(q) is SectionPoint and q == want and hash(q) == hash(want)
             assert same_bits(q.theta_lifted, want.theta_lifted)
             assert same_bits(q.log_coord, want.log_coord)
-
-
-# a drawn system, perturbed, and its idealized twin
-_DRAWN = draw_orbit(np.random.default_rng(4), perturbed=True)[1]
 
 
 @pytest.mark.parametrize(

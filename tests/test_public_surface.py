@@ -5,16 +5,22 @@ name pruned from ``bykov`` that one of them still reads would only show
 when the benchmark runs; the README's quickstart would only show when a
 reader runs it.  This reads the scripts, and the README's ``python``
 code blocks, as source text and checks each name they take from the
-package against the package itself.
+package against the package itself.  Last, the long-double format the
+package reports, and its refusal to import where the format is narrower.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bykov
@@ -32,7 +38,7 @@ PUBLIC = [
     "adjusted_sequence", "birkhoff_average", "corollary_ratios", "derive_constants",
     "estimate_invariants", "generate_hitting_sequence", "historic_certificate",
     "invariant_tuple", "lemma_diagnostics", "matching_params", "perturbation_decay_slope",
-    "poincare", "predicted_limits", "psi21", "recover_point",
+    "poincare", "precision_info", "predicted_limits", "psi21", "recover_point",
     "shift_invariance_check", "sojourn_fractions", "validate_params", "verify_conjugacy",
 ]
 
@@ -89,3 +95,21 @@ def test_the_benchmark_reads_the_package():
     assert ("bykov.acceptance", "ideal_closed_form_times") in used
     # and the README's quickstart is read as code
     assert ("bykov", "verify_conjugacy") in _package_names(_source(ROOT / "README.md"))
+
+
+def test_precision_info_names_the_long_double_format():
+    info = json.loads(json.dumps(bykov.precision_info()))
+    assert info == {"longdouble_nmant": 63, "longdouble_eps": 2.0**-63, "numpy": np.__version__}
+
+
+def test_a_long_double_narrower_than_80_bits_is_refused_at_import():
+    # where np.longdouble is float64 (MSVC, Apple arm64) the digests cannot hold
+    code = "import numpy; numpy.longdouble = numpy.float64; import bykov"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.rstrip().endswith(
+        "ImportError: bykov needs np.longdouble in the x87 80-bit extended format "
+        "(63 fraction bits) or wider; here it has 52 fraction bits, the IEEE binary64 "
+        "format of float64"
+    )

@@ -29,6 +29,11 @@ if _FINFO.nmant < 63:
 PI = np.arccos(LD(-1.0))
 TWO_PI = LD(2.0) * PI
 
+# long-double bounds for the per-crossing checks: a comparison with a
+# long double of its own type takes half the time of one with ``-np.inf``
+# (a global lookup, a negation and a mixed-type comparison) or ``0.0``
+_NEG_INF, _INF, _ZERO, _ONE = LD(-np.inf), LD(np.inf), LD(0.0), LD(1.0)
+
 
 def asld(x) -> np.longdouble:
     """Coerce a scalar to extended precision without a float64 round-trip."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD
+from ._num import _INF, _NEG_INF, LD
 from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, _check_count
@@ -75,7 +75,6 @@ class AdjustedTimes:
     residual_tail_bound: float
 
 
-_NEG_INF, _INF = LD(-np.inf), LD(np.inf)
 _FLOOR = LD(16.0) * np.finfo(LD).eps  # a difference at most this times max |family| is noise
 
 

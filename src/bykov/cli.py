@@ -31,8 +31,8 @@ import json
 import logging
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -205,11 +205,10 @@ def _cell(value: Any) -> str:
 
 def _atomic_write(path: Path, write_body) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}"
+    # 0666 less the process umask, which the kernel applies, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)  # read it: mkstemp creates the file as 0600
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as f:
             write_body(f)
         os.replace(tmp, path)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD, asld
+from ._num import _INF, _NEG_INF, _ONE, _ZERO, LD, asld
 from .errors import DegenerateInput
 from .params import SystemParams
 
@@ -77,12 +77,6 @@ class SectionPoint:
         if not isinstance(self.log_coord, LD):
             object.__setattr__(self, "log_coord", asld(self.log_coord))
         _check_crossing(self.theta_lifted, self.log_coord)
-
-
-# long-double bounds for the per-crossing checks: a comparison with a
-# long double of its own type takes half the time of one with ``-np.inf``
-# (a global lookup, a negation and a mixed-type comparison) or ``0.0``
-_NEG_INF, _INF, _ZERO, _ONE = LD(-np.inf), LD(np.inf), LD(0.0), LD(1.0)
 
 
 def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:

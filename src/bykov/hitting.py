@@ -7,16 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import LD
+from ._num import _INF, _NEG_INF, _ZERO, LD
 from .errors import DegenerateInput, InsufficientData
-from .flow import (
-    _INF,
-    _NEG_INF,
-    _ZERO,
-    SectionPoint,
-    _check_crossing,
-    _half_transition,
-)
+from .flow import SectionPoint, _check_crossing, _half_transition
 from .params import SystemParams, _check_count
 
 __all__ = ["HittingSequence", "generate_hitting_sequence", "sojourn_fractions"]
@@ -40,7 +33,10 @@ class HittingSequence:
     ``sojourns_V1`` holds the ``n_pairs + 1`` passage times through the
     first cylinder, ``sojourns_V2`` the ``n_pairs`` passages through the
     second; ``times`` is exactly the cumulative sum of the interleaved
-    sojourns (the gluing and the reinjection take no time).
+    sojourns (the gluing and the reinjection take no time).  In a
+    generated sequence the two ledgers are the strided views ``legs[0::2]``
+    and ``legs[1::2]`` of one array of the ``2*n_pairs + 1`` sojourns in
+    crossing order, not copies.
 
     The five arrays of a generated sequence are read-only: writing into
     one raises ``ValueError``.  :func:`generate_hitting_sequence` hands
@@ -76,6 +72,9 @@ def generate_hitting_sequence(
     coordinate, equal parameters and the same loop count get the sequence
     already generated, not a copy, which is why its arrays are read-only.
     A refused request is not remembered and raises again.
+
+    Each crossing is written once, into arrays of their final length; the
+    two ledgers are read-only views of one array of sojourns.
 
     The orbit has a head and a tail.  The head runs the shared kernel
     (``flow._half_transition``) loop by loop while a loop's ``V1`` entry
@@ -134,8 +133,10 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
     E1, S1, w1, _, _, cut1 = leg1
     E2, S2, w2, _, _, cut2 = leg2
     n = 2 * n_pairs + 2
-    th, lc = q0.theta_lifted, q0.log_coord
-    thetas, logs, transits = [th], [lc], []
+    theta, log_coord, legs = np.empty(n, LD), np.empty(n, LD), np.empty(n - 1, LD)
+    th = theta[0] = q0.theta_lifted
+    lc = log_coord[0] = q0.log_coord
+    j = 0  # the last crossing written
     # a value that overflows is refused by the checks below as DegenerateInput,
     # not by NumPy's warning, which a caller's filter may turn into an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,43 +150,30 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
                 y = log_a + lc
                 if y < cut1 and S1 * y < cut2:
                     break
-                s, lc, th = _half_transition(y, th / a, *leg1)
-                thetas.append(th)
-                logs.append(lc)
-                transits.append(s)
+                legs[j], lc, th = _half_transition(y, th / a, *leg1)
+                j += 1
+                theta[j], log_coord[j] = th, lc
                 if k == n_pairs:  # the closing V1 sojourn
                     break
-                u, lc, th = _half_transition(lc, th, *leg2)
-                thetas.append(th)
-                logs.append(lc)
-                transits.append(u)
+                legs[j], lc, th = _half_transition(lc, th, *leg2)
+                j += 1
+                theta[j], log_coord[j] = th, lc
         except DegenerateInput:
-            _check_crossings(thetas, logs)  # a crossing before the refused leg comes first
+            # a crossing before the refused leg comes first
+            _check_crossings(theta[: j + 1], log_coord[: j + 1])
             raise
-        if len(transits) == n - 1:  # the closing leg ran in the head: there is no tail
-            theta, log_coord, legs = (np.array(x, dtype=LD) for x in (thetas, logs, transits))
-        else:
-            # the tail, from loop k, whose V1 entry y leaves Out2 crossing i0
-            i0 = 2 * k
-            theta, log_coord, legs = np.empty(n, LD), np.empty(n, LD), np.empty(n - 1, LD)
-            theta[: i0 + 1], log_coord[: i0 + 1], legs[:i0] = thetas, logs, transits
-            ys = [y]
-            for _ in range(n_pairs - k):
-                y = log_a + S2 * (S1 * y)
-                ys.append(y)
-            Y, X = np.array(ys, dtype=LD), log_coord[i0 + 1 :: 2]
-            np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
-            np.multiply(S2, X[:-1], out=log_coord[i0 + 2 :: 2])
-            s, u = legs[i0::2], legs[i0 + 1 :: 2]
-            np.divide(Y, -E1, out=s)  # -y/E1, negated in the divisor
-            np.divide(X[:-1], -E2, out=u)
-            W1, W2 = w1 * s, w2 * u
-            ths = []
-            for w1s, w2u in zip(W1, W2):
-                th = th / a + w1s + w2u
-                ths.append(th)
-            theta[i0 + 2 :: 2] = ths
-            np.add(theta[i0:-1:2] / a, W1, out=theta[i0 + 1 :: 2])
+        # the tail, from Out2 crossing j, whose V1 entry is y, to the closing
+        # leg; it has m V1 legs, none when the closing leg ran in the head
+        m = (n - j) // 2
+        Y, X = np.fromiter(_v1_entries(y, log_a, S1, S2, m), LD, m), log_coord[j + 1 :: 2]
+        np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
+        np.multiply(S2, X[:-1], out=log_coord[j + 2 :: 2])
+        s, u = legs[j::2], legs[j + 1 :: 2]
+        np.divide(Y, -E1, out=s)  # -y/E1, negated in the divisor
+        np.divide(X[:-1], -E2, out=u)
+        W1, W2 = w1 * s, w2 * u
+        theta[j + 2 :: 2] = np.fromiter(_out2_angles(th, a, W1, W2), LD, m - 1)
+        np.add(theta[j:-1:2] / a, W1, out=theta[j + 1 :: 2])
         if not (np.maximum.reduce(log_coord[1:]) < _ZERO and _NEG_INF < theta[-1] < _INF
                 and _NEG_INF < log_coord[-1]):
             _check_crossings(theta, log_coord)
@@ -198,17 +186,25 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
     # above; the last one can overflow alone, when the closing sojourn is added
     if not times[-1] < np.inf:
         raise DegenerateInput(f"the hitting time of crossing {n - 1} is not finite: {times[-1]}")
-    h = HittingSequence(
-        times=times,
-        theta=theta,
-        log_coord=log_coord,
-        sojourns_V1=legs[0::2].copy(),
-        sojourns_V2=legs[1::2].copy(),
-        n_pairs=n_pairs,
-    )
-    for arr in (h.times, h.theta, h.log_coord, h.sojourns_V1, h.sojourns_V2):
+    for arr in (times, theta, log_coord, legs):
         arr.setflags(write=False)
-    return h
+    # the ledgers are views of the read-only legs, so read-only too
+    return HittingSequence(times=times, theta=theta, log_coord=log_coord,
+                           sojourns_V1=legs[0::2], sojourns_V2=legs[1::2], n_pairs=n_pairs)
+
+
+def _v1_entries(y, log_a, S1, S2, m):
+    """The tail's ``m`` ``V1`` entries from ``y`` on: ``y' = ln a + S2*(S1*y)``."""
+    for _ in range(m):
+        yield y
+        y = log_a + S2 * (S1 * y)
+
+
+def _out2_angles(th, a, W1, W2):
+    """The tail's ``Out2`` angles after ``th``: ``th' = (th/a + w1*s) + w2*u``."""
+    for w1s, w2u in zip(W1, W2):
+        th = th / a + w1s + w2u
+        yield th
 
 
 def _check_crossings(thetas, logs) -> None:

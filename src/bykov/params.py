@@ -247,11 +247,14 @@ def validate_params(p: SystemParams) -> SystemParams:
     return p
 
 
-def _check_tol(tol: float) -> float:
-    """The tolerance of a verdict: positive and finite."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConstraintViolation(f"tol must be positive and finite, got {tol}")
-    return tol
+def _check_tol(tol) -> float:
+    """The tolerance of a verdict: a positive and finite number, not a bool."""
+    try:
+        if not isinstance(tol, (bool, np.bool_)) and math.isfinite(tol) and tol > 0:
+            return tol
+    except TypeError:  # not a number: None, a string
+        pass
+    raise ConstraintViolation(f"tol must be positive and finite, got {tol!r}")
 
 
 def _check_count(n, name: str) -> int:

@@ -382,7 +382,7 @@ def test_a_smooth_leg_past_the_float64_range_is_refused():
     assert np.isfinite(s.odd_averages[-1]) and s.odd_times[-1] > 1.4e308
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "1e-3", None])
 def test_certificate_tolerance_must_be_positive_and_finite(tol):
     s = birkhoff_average(SEED, P, INDICATOR, upto_index=16)
     with pytest.raises(ConstraintViolation, match="tol must be positive and finite"):

@@ -311,3 +311,20 @@ def test_output_files_get_the_umask_mode(tmp_path):
     finally:
         os.umask(umask)
     assert stat.S_IMODE((out / "hitting.csv").stat().st_mode) == 0o644
+
+
+def test_the_umask_is_left_alone(tmp_path, monkeypatch):
+    # the kernel applies the umask; changing it, even to read it back, would
+    # give a file another thread creates meanwhile a mode of its own
+    umask = os.umask(0o027)
+    try:
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        emit_csv([[1.0]], tmp_path / "a.csv", header=["x"])
+    finally:
+        monkeypatch.undo()
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == 0o640
+    assert [q.name for q in tmp_path.iterdir()] == ["a.csv"]

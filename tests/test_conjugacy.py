@@ -158,7 +158,7 @@ def test_verify_needs_enough_pairs():
         verify_conjugacy(SEED, P, G, n_pairs=1)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "1e-3", None])
 def test_verdict_tolerance_must_be_positive_and_finite(tol):
     # with tol=inf a replay that misses by 0.67 would read as conjugate
     with pytest.raises(ConstraintViolation, match="tol must be positive and finite"):

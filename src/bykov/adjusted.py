@@ -34,6 +34,16 @@ The ``i`` chain steps have a closed form: with the step's fixed point
 approaches 1, ``x*`` grows like ``1/(delta - 1)`` and the shorter form
 loses the digits of ``T[i]`` to cancellation, while ``expm1`` and
 ``log1p`` keep ``1 - delta**-i`` to a few ulps however small it is.
+The powers ``delta**-i`` are constants of the parameter set: the
+``DerivedConstants`` object keeps them, and computes each once; the
+``expm1`` term is computed on every call.
+
+The forward recursion that builds ``T_seq`` from ``T0`` is
+``bykov._num._affine_iterates``: long-double scalar steps until
+``delta*T`` is so large that subtracting ``tau*ln(a)`` no longer changes
+it, then one ``np.multiply.accumulate`` over ``delta``, bit for bit the
+scalar loop.  It is not the closed form of the backward chain: forward,
+``expm1`` would amplify the rounding of its argument ``i*ln(delta)``.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _INF, _NEG_INF, LD
+from ._num import _INF, _NEG_INF, LD, _affine_iterates
 from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
 from .params import DerivedConstants, _check_count
@@ -85,9 +95,10 @@ def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
     unwarned; the caller refuses it as a loop that is not finite.
     """
     i = np.arange(len(T), dtype=LD)
-    delta, step = d.delta, d.delta - LD(1.0)
+    step = d.delta - LD(1.0)
     with np.errstate(invalid="ignore"):
-        return T * delta**-i - d.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step))
+        return (T * d._inverse_powers(len(T))
+                - d.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step)))
 
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
@@ -130,22 +141,20 @@ def adjusted_sequence(
     family = _carry_back(T, d)
     T0, tail_bound = _extract_limit(family)
 
-    delta, tau_log_a = d.delta, d.invariants.tau_log_a
+    c, factors = -d.invariants.tau_log_a, (d.delta,)  # T' = c + delta*T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        # the measured loops, untested; past them, the recursion stops at its
-        # first duration that is not finite: that loop is refused, and no
-        # later one is reached
-        x, seq = T0, [T0]
-        for _ in range(1, len(T)):
-            x = delta * x - tau_log_a
-            seq.append(x)
-        while len(seq) < n and _NEG_INF < x < _INF:
-            x = delta * x - tau_log_a
-            seq.append(x)
-        T_seq_full = np.array(seq, dtype=LD)
+        # the measured loops, untested; past them, runs of doubling length, up
+        # to n or to the first run that ends on a duration that is not finite:
+        # no later one is finite again, and the first such loop is refused
+        runs, done = [_affine_iterates(T0, c, factors, len(T))], len(T)
+        while done < n and _NEG_INF < runs[-1][-1] < _INF:
+            more = min(n - done, done)
+            runs.append(_affine_iterates(runs[-1][-1], c, factors, more + 1)[1:])
+            done += more
+        T_seq_full = np.concatenate(runs)
         offset = np.add.reduce(T - T_seq_full[: len(T)])
 
-        m = min(n, len(seq))
+        m = min(n, done)
         t_even_zero = np.zeros(m + 1, dtype=LD)
         np.add.accumulate(T_seq_full[:m], out=t_even_zero[1:])
         t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _INF, _NEG_INF, _ZERO, LD
+from ._num import _INF, _NEG_INF, _ZERO, LD, _affine_iterates
 from .errors import DegenerateInput, InsufficientData
 from .flow import SectionPoint, _check_crossing, _half_transition
 from .params import SystemParams, _check_count
@@ -82,8 +82,12 @@ def generate_hitting_sequence(
     leg's cut-off, or is NaN.  From the first loop with both entries below
     their cut-offs to the closing ``V1`` leg, the kernel would take its
     idealized branch on every leg, and the tail computes that branch: the
-    ``V1`` entries ``y' = ln a + S2*(S1*y)`` and the ``Out2`` angles
-    ``th' = (th/a + w1*s) + w2*u`` are stepped as long-double scalars;
+    ``V1`` entries ``y' = ln a + S2*(S1*y)`` are stepped as long-double
+    scalars until ``ln a`` no longer changes a sum, and from there on are
+    one ``np.multiply.accumulate`` over the saddle indices, bit for bit
+    (``bykov._num._affine_iterates``); the ``Out2`` angles
+    ``th' = (th/a + w1*s) + w2*u`` are stepped as long-double scalars, as
+    their two terms have the same size and neither is absorbed;
     the exits ``S1*y`` and ``S2*(S1*y)``, the transits ``s = -y/E1`` and
     ``u = -(S1*y)/E2``, the terms ``w1*s`` and ``w2*u`` and the ``Out1``
     angles ``th/a + w1*s`` are array operations.  No later entry lies at
@@ -165,15 +169,16 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
         # the tail, from Out2 crossing j, whose V1 entry is y, to the closing
         # leg; it has m V1 legs, none when the closing leg ran in the head
         m = (n - j) // 2
-        Y, X = np.fromiter(_v1_entries(y, log_a, S1, S2, m), LD, m), log_coord[j + 1 :: 2]
-        np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
-        np.multiply(S2, X[:-1], out=log_coord[j + 2 :: 2])
-        s, u = legs[j::2], legs[j + 1 :: 2]
-        np.divide(Y, -E1, out=s)  # -y/E1, negated in the divisor
-        np.divide(X[:-1], -E2, out=u)
-        W1, W2 = w1 * s, w2 * u
-        theta[j + 2 :: 2] = np.fromiter(_out2_angles(th, a, W1, W2), LD, m - 1)
-        np.add(theta[j:-1:2] / a, W1, out=theta[j + 1 :: 2])
+        if m:
+            Y, X = _affine_iterates(y, log_a, (S1, S2), m), log_coord[j + 1 :: 2]
+            np.multiply(S1, Y, out=X)  # the Out1 logs, V2 entries but the last
+            np.multiply(S2, X[:-1], out=log_coord[j + 2 :: 2])
+            s, u = legs[j::2], legs[j + 1 :: 2]
+            np.divide(Y, -E1, out=s)  # -y/E1, negated in the divisor
+            np.divide(X[:-1], -E2, out=u)
+            W1, W2 = w1 * s, w2 * u
+            theta[j + 2 :: 2] = np.fromiter(_out2_angles(th, a, W1, W2), LD, m - 1)
+            np.add(theta[j:-1:2] / a, W1, out=theta[j + 1 :: 2])
         if not (np.maximum.reduce(log_coord[1:]) < _ZERO and _NEG_INF < theta[-1] < _INF
                 and _NEG_INF < log_coord[-1]):
             _check_crossings(theta, log_coord)
@@ -191,13 +196,6 @@ def _generate(q0: SectionPoint, p: SystemParams, n_pairs: int) -> HittingSequenc
     # the ledgers are views of the read-only legs, so read-only too
     return HittingSequence(times=times, theta=theta, log_coord=log_coord,
                            sojourns_V1=legs[0::2], sojourns_V2=legs[1::2], n_pairs=n_pairs)
-
-
-def _v1_entries(y, log_a, S1, S2, m):
-    """The tail's ``m`` ``V1`` entries from ``y`` on: ``y' = ln a + S2*(S1*y)``."""
-    for _ in range(m):
-        yield y
-        y = log_a + S2 * (S1 * y)
 
 
 def _out2_angles(th, a, W1, W2):

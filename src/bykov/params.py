@@ -186,7 +186,9 @@ class DerivedConstants:
     = delta1 * delta2`` must exceed 1 for the cycle to attract.
     ``log_a = ln(a)`` is the log-height shift of the reinjection.  The
     conjugacy invariants ride along so that time-series diagnostics can
-    take a single argument.
+    take a single argument.  The powers ``delta**-i`` of the adjusted
+    times' backward carry are kept here too, outside the fields (see
+    ``_inverse_powers``).
     """
 
     gamma1: np.longdouble
@@ -197,6 +199,24 @@ class DerivedConstants:
     tau: np.longdouble
     log_a: np.longdouble
     invariants: InvariantTuple
+
+    def _inverse_powers(self, n: int) -> np.ndarray:
+        """``delta**-i`` for ``i < n``, read-only, as the backward carry takes them.
+
+        The table is kept in the object's ``__dict__``, not as a field, so
+        equality, hashing and ``repr`` never see it and it goes with the
+        object.  It grows to the longest ``n`` asked for, each new element
+        the same ``delta**-i`` as before, so every prefix keeps its bits.
+        Threads that grow it together each compute equal elements.
+        """
+        table = self.__dict__.get("_inverse_powers_table")
+        if table is None or len(table) < n:
+            have = 0 if table is None else len(table)
+            grown = self.delta ** -np.arange(have, n, dtype=LD)
+            table = grown if table is None else np.concatenate((table, grown))
+            table.setflags(write=False)
+            self.__dict__["_inverse_powers_table"] = table
+        return table[:n]
 
 
 def validate_params(p: SystemParams) -> SystemParams:

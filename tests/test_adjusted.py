@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -25,7 +27,9 @@ from bykov import (
     shift_invariance_check,
 )
 from bykov.adjusted import _carry_back, _extract_limit
-from reference import LD, P, PP, SEED, exact, exact_chain, extract_limit, longhand_chain, same_bits
+from reference import (
+    LD, P, PP, SEED, draw_orbit, exact, exact_chain, extract_limit, longhand_chain, same_bits,
+)
 
 D = derive_constants(P)
 
@@ -273,6 +277,37 @@ def test_shift_invariance(ideal, perturbed):
         shift_invariance_check(h, D, h.n_pairs - 1)
 
 
+def test_the_powers_of_delta_live_and_die_with_their_constants():
+    # delta**-i is kept on the constants object and grown to the longest
+    # family asked for; each family and shift check has the bits of one
+    # computed on a fresh object, whose table is exactly its own length
+    p = dataclasses.replace(PP)
+    d = derive_constants(p)
+    for n_pairs in (1000, 12, 2000):
+        h = generate_hitting_sequence(SEED, p, n_pairs)
+        fresh = derive_constants(dataclasses.replace(p))
+        assert same_bits(adjusted_sequence(h, d).T0_family,
+                         adjusted_sequence(h, fresh).T0_family)
+    for N in (0, 7, 1500):
+        fresh = derive_constants(dataclasses.replace(p))
+        assert same_bits(np.float64(shift_invariance_check(h, d, N)),
+                         np.float64(shift_invariance_check(h, fresh, N)))
+    table = vars(d)["_inverse_powers_table"]
+    assert len(table) == 2000 and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2.0
+    # the table is no field: equality, hashing and repr see the eight alone
+    bare = dataclasses.replace(d)
+    assert "_inverse_powers_table" not in vars(bare)
+    assert d == bare and hash(d) == hash(bare) and repr(d) == repr(bare)
+    assert "_inverse_powers_table" not in {f.name for f in dataclasses.fields(d)}
+    # and it goes with the object
+    gone = weakref.ref(table)
+    del p, d, table, h
+    gc.collect()
+    assert gone() is None
+
+
 def test_single_time_perturbation_leaves_late_family_alone(perturbed):
     """Moving one crossing only touches the two loops that straddle it."""
     h, _ = perturbed
@@ -336,22 +371,45 @@ def _longhand_forward(T0, T, d, n: int):
     return T_seq[:n], t_even, t_odd, first
 
 
-@pytest.mark.parametrize("params", [P, PP], ids=["idealized", "perturbed"])
-def test_the_forward_recursion_matches_longhand_bitwise(params):
+# delta - 1 = 1e-6: tau*ln(a) is never absorbed into delta*T, so every loop
+# is a scalar step, and the recursion stays finite for about 1e10 loops
+_NEAR_ONE = dataclasses.replace(P, C1=P.E1 * (1 + 5e-7), C2=P.E2 * (1 + 5e-7))
+_FORWARD = {
+    "idealized": (SEED, P, 12),
+    "perturbed": (SEED, PP, 12),
+    "idealized_200": (SEED, P, 200),
+    "perturbed_200": (SEED, PP, 200),
+    # delta 1.91, 6.78, 2.27 and 8.12, in the drawn range 1.44 to 9
+    "drawn_idealized_200": (*draw_orbit(np.random.default_rng(25), perturbed=False), 200),
+    "drawn_idealized_200_steep": (*draw_orbit(np.random.default_rng(4), perturbed=False), 200),
+    "drawn_perturbed_200": (*draw_orbit(np.random.default_rng(12), perturbed=True), 200),
+    "drawn_perturbed_200_steep": (*draw_orbit(np.random.default_rng(9), perturbed=True), 200),
+    "near_one_200": (SEED, _NEAR_ONE, 200),
+}
+
+
+@pytest.mark.parametrize("seed, params, n_pairs", _FORWARD.values(), ids=_FORWARD.keys())
+def test_the_forward_recursion_matches_longhand_bitwise(seed, params, n_pairs):
     # n inside, at and past the measured loops, and up to the first loop the
-    # recursion carries out of the long-double range, which is refused
-    h, d = generate_hitting_sequence(SEED, params, 12), derive_constants(params)
+    # recursion carries out of the long-double range, which is refused; away
+    # from delta = 1, delta*T absorbs tau*ln(a) from a loop between 22 and
+    # 66 here, so those durations reach the accumulate
+    h, d = generate_hitting_sequence(seed, params, n_pairs), derive_constants(params)
     T = h.sojourns_V1[: h.n_pairs] + h.sojourns_V2
     T0 = adjusted_sequence(h, d).T0
     with np.errstate(over="ignore", invalid="ignore"):
-        *_, first = _longhand_forward(T0, T, d, 9000)
-    assert first is not None and first > 12
-    for n in (1, len(T) - 1, len(T), len(T) + 1, first):
+        *_, first = _longhand_forward(T0, T, d, 40000)
+    assert (first is None) == (params is _NEAR_ONE)
+    last = 40000 if first is None else first
+    assert last > n_pairs
+    for n in (1, len(T) - 1, len(T), len(T) + 1, last):
         got = adjusted_sequence(h, d, n)
         T_seq, t_even, t_odd, _ = _longhand_forward(T0, T, d, n)
         assert same_bits(got.T_seq, np.array(T_seq, dtype=LD))
         assert same_bits(got.t_even, np.array(t_even, dtype=LD))
         assert same_bits(got.t_odd, np.array(t_odd, dtype=LD))
+    if first is None:
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         message = (f"adjusted loop {first} is not finite: the exact recursion leaves the "

@@ -31,6 +31,7 @@ from reference import (
     LD,
     P,
     PP,
+    draw_orbit,
     exits_from_defects,
     half_transition,
     iterated_poincare,
@@ -335,12 +336,24 @@ _HALF = SectionPoint("Out2", 1.0, float(np.log(0.5)))
     (_HALF, _saddles(4, 0.001), 3, 4),
     (SEED, P, 1000, 0),
     (SEED, PP, 1000, 6),
+    # delta 1.91, 6.78, 2.27 and 8.12, in the drawn range 1.44 to 9
+    (*draw_orbit(np.random.default_rng(25), perturbed=False), 200, 0),
+    (*draw_orbit(np.random.default_rng(4), perturbed=False), 200, 0),
+    (*draw_orbit(np.random.default_rng(12), perturbed=True), 200, 12),
+    (*draw_orbit(np.random.default_rng(9), perturbed=True), 200, 4),
+    # delta - 1 = 1e-6: ln(a) is never absorbed, every V1 entry is a scalar step
+    (SEED, dataclasses.replace(P, C1=P.E1 * (1 + 5e-7), C2=P.E2 * (1 + 5e-7)), 200, 0),
 ], ids=["idealized", "from_loop_1", "from_loop_2", "from_loop_3", "closing_leg_only",
-        "v2_cut_only", "never", "idealized_1000", "perturbed_1000"])
+        "v2_cut_only", "never", "idealized_1000", "perturbed_1000", "drawn_idealized_200",
+        "drawn_idealized_200_steep", "drawn_perturbed_200", "drawn_perturbed_200_steep",
+        "near_one_200"])
 def test_the_idealized_tail_joins_the_kernel_bitwise(seed, p, n_pairs, start):
-    # from the first loop below both cut-offs the generator steps two scalar
-    # recurrences and computes the rest as arrays; the longhand runs the
-    # kernel's operations crossing by crossing, corrections included
+    # from the first loop below both cut-offs the generator steps the Out2
+    # angles as scalars, and the V1 entries as scalars until S2*(S1*y)
+    # absorbs ln(a), from a loop between 22 and 66 on every orbit here of
+    # 200 loops or more but the one near delta = 1, and then as products;
+    # it computes the rest as arrays; the longhand runs the kernel's
+    # operations crossing by crossing, corrections included
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h = generate_hitting_sequence(seed, p, n_pairs)

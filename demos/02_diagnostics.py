@@ -15,7 +15,6 @@ from bykov import (
     SectionPoint,
     SystemParams,
     corollary_ratios,
-    derive_constants,
     estimate_invariants,
     generate_hitting_sequence,
     lemma_diagnostics,
@@ -32,15 +31,14 @@ seed = SectionPoint(chart="Out2", theta_lifted=1.0, log_coord=float(np.log(0.1))
 
 def show(params: SystemParams, label: str) -> None:
     h = generate_hitting_sequence(seed, params, n_pairs=10)
-    d = derive_constants(params)
-    lem = lemma_diagnostics(h, d)
+    lem = lemma_diagnostics(h, params)
     print(f"\n--- {label} ---")
     print(f"{'i':>3} {'s_i - g2*u_(i-1)':>18} {'u_i - g1*s_i':>16} {'T_i - d*T_(i-1)':>17}")
     for i in range(1, 8):
         print(f"{i:>3} {float(lem.lemma1[i]):>18.12f} "
               f"{float(lem.lemma2[i]):>16.2e} {float(lem.lemma3[i]):>17.12f}")
     print(f"constants expected: {float(-np.log(params.a) / params.E1):.12f}, 0, "
-          f"{float(-d.invariants.tau_log_a):.12f}")
+          f"{float(-params.invariants.tau_log_a):.12f}")
 
 
 def main() -> None:
@@ -57,7 +55,7 @@ def main() -> None:
           f"s/u' -> {float(r2[-1]):.9f} (3), T/T' -> {float(r3[-1]):.9f} (4)")
 
     est = estimate_invariants(hk)
-    truth = derive_constants(kicked).invariants
+    truth = kicked.invariants
     print("\ninvariants estimated from the perturbed times alone:")
     for name in ("gamma1", "gamma2", "omega_combo", "tau_log_a"):
         print(f"  {name:>12}: {float(getattr(est, name)):>14.9f}"

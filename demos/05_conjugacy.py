@@ -15,7 +15,6 @@ import numpy as np
 from bykov import (
     SectionPoint,
     SystemParams,
-    invariant_tuple,
     matching_params,
     verify_conjugacy,
 )
@@ -29,8 +28,8 @@ def main() -> None:
     print("partner system with the same invariants:")
     print(f"  C1={partner.C1}, E1={partner.E1}, omega1={partner.omega1:.6f}, "
           f"C2={partner.C2}, E2={partner.E2}, omega2={partner.omega2}, a={partner.a}")
-    inv_p = invariant_tuple(params).as_array()
-    inv_g = invariant_tuple(partner).as_array()
+    inv_p = params.invariants.as_array()
+    inv_g = partner.invariants.as_array()
     print(f"  invariant gap: {np.abs(inv_p - inv_g).max():.2e}\n")
 
     report = verify_conjugacy(seed, params, partner, n_pairs=10)

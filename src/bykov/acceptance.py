@@ -39,12 +39,7 @@ from .diagnostics import (
 from .errors import InsufficientData
 from .flow import SectionPoint, poincare, psi21
 from .hitting import generate_hitting_sequence
-from .params import (
-    PerturbationSpec,
-    SystemParams,
-    derive_constants,
-    invariant_tuple,
-)
+from .params import PerturbationSpec, SystemParams
 
 __all__ = [
     "CriterionResult",
@@ -191,11 +186,10 @@ def _criterion_hitting_times() -> CriterionResult:
 
 def _criterion_idealized_identities() -> CriterionResult:
     p = CANONICAL_PARAMS
-    d = derive_constants(p)
     h = generate_hitting_sequence(SEED, p, 11)
-    series = lemma_diagnostics(h, d)
+    series = lemma_diagnostics(h, p)
     lim1 = -np.log(asld(p.a)) / asld(p.E1)
-    lim3 = -d.invariants.tau_log_a
+    lim3 = -p.invariants.tau_log_a
     idx = slice(1, 11)
     e1 = float(np.max(np.abs(series.lemma1[idx] - lim1)))
     e2 = float(np.max(np.abs(series.lemma2[idx])))
@@ -211,16 +205,15 @@ def _criterion_idealized_identities() -> CriterionResult:
 
 def _criterion_perturbed_identities() -> CriterionResult:
     p = PERTURBED_PARAMS
-    d = derive_constants(p)
     h = generate_hitting_sequence(SEED, p, 12)
-    series = lemma_diagnostics(h, d)
+    series = lemma_diagnostics(h, p)
     lim1 = -np.log(asld(p.a)) / asld(p.E1)
-    lim3 = -d.invariants.tau_log_a
+    lim3 = -p.invariants.tau_log_a
     e1 = float(abs(series.lemma1[10] - lim1))
     e2 = float(abs(series.lemma2[10]))
     e3 = float(abs(series.lemma3[10] - lim3))
     slope = perturbation_decay_slope(h, p)
-    slope_floor = float(d.delta1) * p.perturbation.eps - 0.1
+    slope_floor = float(p.delta1) * p.perturbation.eps - 0.1
     R = series.residuals
     root_stats = [
         float((i * abs(R[i])) ** (1.0 / i)) for i in range(1, len(R)) if R[i] != 0
@@ -252,7 +245,6 @@ def _richardson_tail(seq: np.ndarray, rho: np.longdouble) -> np.longdouble:
 
 def _criterion_ratio_limits() -> CriterionResult:
     p = CANONICAL_PARAMS
-    d = derive_constants(p)
     h = generate_hitting_sequence(SEED, p, 9)
     ratios = corollary_ratios(h, p).ratios
     r1, r2, r3, r4 = ratios
@@ -263,12 +255,12 @@ def _criterion_ratio_limits() -> CriterionResult:
     g1_est = r1[8]
     g2_est = _richardson_tail(r2[: 8 + 1], rho)
     d_est = _richardson_tail(r3[: 8 + 1], rho)
-    e_g1 = float(abs(g1_est - d.gamma1))
-    e_g2 = float(abs(g2_est - d.gamma2))
-    e_d = float(abs(d_est - d.delta))
-    twist = d.invariants.omega_combo / (d.gamma1 + LD(1.0))
+    e_g1 = float(abs(g1_est - p.gamma1))
+    e_g2 = float(abs(g2_est - p.gamma2))
+    e_d = float(abs(d_est - p.delta))
+    twist = p.invariants.omega_combo / (p.gamma1 + LD(1.0))
     e_r4 = float(np.max(np.abs(r4 - twist)))
-    raw_gap = float(abs(r2[8] - d.gamma2))
+    raw_gap = float(abs(r2[8] - p.gamma2))
     passed = max(e_g1, e_g2, e_d) < 1e-6 and e_r4 < 1e-10
     detail = (
         f"estimates at i=8 off by {e_g1:.2e}, {e_g2:.2e}, {e_d:.2e} "
@@ -290,8 +282,7 @@ def _criterion_historic_averages() -> CriterionResult:
     stays = bool(len(within)) and bool(np.all(odd_err[first_reach:] < 1e-3))
 
     cert = historic_certificate(series, tol=1e-3)
-    d = derive_constants(p)
-    gap_expected = (LD(1.0) - d.delta) * LD(1.0) / ((LD(1.0) + d.gamma1) * (LD(1.0) + d.gamma2))
+    gap_expected = (LD(1.0) - p.delta) * LD(1.0) / ((LD(1.0) + p.gamma1) * (LD(1.0) + p.gamma2))
     gap_err = float(abs(asld(cert.gap) - gap_expected))
     passed = (
         even_err < 1e-10
@@ -311,32 +302,30 @@ def _criterion_historic_averages() -> CriterionResult:
 
 def _criterion_adjusted_times() -> CriterionResult:
     p = CANONICAL_PARAMS
-    d = derive_constants(p)
     h = generate_hitting_sequence(SEED, p, 12)
-    adj = adjusted_sequence(h, d)
+    adj = adjusted_sequence(h, p)
     closed = ideal_closed_form_times(p, 0.1, 1)
     T0_err = float(abs(adj.T0 - closed[2]))
     tail_ok = adj.residual_tail_bound < 1e-12
 
-    rec = adj.T_seq[1:] - (d.delta * adj.T_seq[:-1] - d.invariants.tau_log_a)
+    rec = adj.T_seq[1:] - (p.delta * adj.T_seq[:-1] - p.invariants.tau_log_a)
     rec_rel = float(np.max(np.abs(rec) / np.abs(adj.T_seq[1:])))
     w1, w2 = asld(p.omega1), asld(p.omega2)
     s_adj = adj.t_odd_zero - adj.t_even_zero[:-1]
     u_adj = adj.t_even_zero[1:] - adj.t_odd_zero
     omega_ratio = (w1 * s_adj + w2 * u_adj) / (s_adj + u_adj)
-    twist = d.invariants.omega_combo / (d.gamma1 + LD(1.0))
+    twist = p.invariants.omega_combo / (p.gamma1 + LD(1.0))
     omega_rel = float(np.max(np.abs(omega_ratio - twist) / twist))
 
-    shift_dev = shift_invariance_check(h, d, 2)
+    shift_dev = shift_invariance_check(h, p, 2)
 
     hp = generate_hitting_sequence(SEED, PERTURBED_PARAMS, 12)
-    dp = derive_constants(PERTURBED_PARAMS)
-    adjp = adjusted_sequence(hp, dp)
+    adjp = adjusted_sequence(hp, PERTURBED_PARAMS)
     even_gap_10 = float(abs(hp.times[20] - adjp.t_even[10]))
-    shift_dev_p = shift_invariance_check(hp, dp, 2)
-    Rp = lemma_diagnostics(hp, dp).residuals
+    shift_dev_p = shift_invariance_check(hp, PERTURBED_PARAMS, 2)
+    Rp = lemma_diagnostics(hp, PERTURBED_PARAMS).residuals
     shift_bound = sum(
-        float(abs(Rp[2 + j])) / float(dp.delta) ** j for j in range(1, len(Rp) - 2)
+        float(abs(Rp[2 + j])) / float(PERTURBED_PARAMS.delta) ** j for j in range(1, len(Rp) - 2)
     )
 
     passed = (
@@ -361,9 +350,7 @@ def _criterion_adjusted_times() -> CriterionResult:
 def _criterion_conjugacy() -> CriterionResult:
     p = CANONICAL_PARAMS
     g = MATCHED_PARAMS
-    inv_gap = float(
-        np.max(np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array()))
-    )
+    inv_gap = float(np.max(np.abs(p.invariants.as_array() - g.invariants.as_array())))
     report = verify_conjugacy(SEED, p, g, n_pairs=10, tol=1e-8)
     closed = ideal_closed_form_times(p, 0.1, 1)
     t1_err = float(report.time_deviations[1])
@@ -394,8 +381,6 @@ def _criterion_conjugacy() -> CriterionResult:
 
 def _criterion_robustness() -> CriterionResult:
     p = CANONICAL_PARAMS
-    d = derive_constants(p)
-    log_a = np.log(asld(p.a))
     q = psi21(SEED, p)
     logs = [q.log_coord]
     worst = 0.0
@@ -404,7 +389,7 @@ def _criterion_robustness() -> CriterionResult:
         q, _ = poincare(q, p)
         logs.append(q.log_coord)
         ok = ok and bool(np.isfinite(q.log_coord)) and bool(np.isfinite(q.theta_lifted))
-        expected = log_a + d.delta * logs[-2]
+        expected = p.log_a + p.delta * logs[-2]
         worst = max(worst, float(abs(q.log_coord - expected)))
     final = float(logs[-1])
     passed = ok and worst < 1e-10
@@ -419,7 +404,7 @@ def _criterion_invariant_estimation() -> CriterionResult:
     # not numbered in the acceptance table, but exercised by its examples:
     # the from-times-only estimator must recover the tuple on all three runs
     p = CANONICAL_PARAMS
-    truth = invariant_tuple(p).as_array()
+    truth = p.invariants.as_array()
     runs = {
         "idealized": (generate_hitting_sequence(SEED, p, 8), 1e-9),
         "perturbed": (generate_hitting_sequence(SEED, PERTURBED_PARAMS, 8), 1e-6),

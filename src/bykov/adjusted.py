@@ -35,7 +35,7 @@ approaches 1, ``x*`` grows like ``1/(delta - 1)`` and the shorter form
 loses the digits of ``T[i]`` to cancellation, while ``expm1`` and
 ``log1p`` keep ``1 - delta**-i`` to a few ulps however small it is.
 The powers ``delta**-i`` are constants of the parameter set: the
-``DerivedConstants`` object keeps them, and computes each once; the
+``SystemParams`` object keeps them, and computes each once; the
 ``expm1`` term is computed on every call.
 
 The forward recursion that builds ``T_seq`` from ``T0`` is
@@ -55,7 +55,7 @@ import numpy as np
 from ._num import _INF, _NEG_INF, LD, _affine_iterates
 from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
-from .params import DerivedConstants, _check_count
+from .params import SystemParams, _check_count
 
 __all__ = ["AdjustedTimes", "adjusted_sequence", "shift_invariance_check"]
 
@@ -88,17 +88,17 @@ class AdjustedTimes:
 _FLOOR = LD(16.0) * np.finfo(LD).eps  # a difference at most this times max |family| is noise
 
 
-def _carry_back(T: np.ndarray, d: DerivedConstants) -> np.ndarray:
+def _carry_back(T: np.ndarray, p: SystemParams) -> np.ndarray:
     """Carry each ``T[i]`` back ``i`` chain steps, in the module docstring's closed form.
 
     An infinite ``T[i]`` whose ``delta**-i`` underflowed to 0 gives NaN,
     unwarned; the caller refuses it as a loop that is not finite.
     """
     i = np.arange(len(T), dtype=LD)
-    step = d.delta - LD(1.0)
+    step = p.delta - LD(1.0)
     with np.errstate(invalid="ignore"):
-        return (T * d._inverse_powers(len(T))
-                - d.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step)))
+        return (T * p._inverse_powers(len(T))
+                - p.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step)))
 
 
 def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
@@ -119,7 +119,7 @@ def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
 
 
 def adjusted_sequence(
-    h: HittingSequence, d: DerivedConstants, n: int | None = None
+    h: HittingSequence, p: SystemParams, n: int | None = None
 ) -> AdjustedTimes:
     """Build the adjusted duration and time grids from a measured orbit.
 
@@ -138,10 +138,10 @@ def adjusted_sequence(
             f"the backward family needs at least 2 loops, got {h.n_pairs}"
         )
     T = _legs(h)[2]
-    family = _carry_back(T, d)
+    family = _carry_back(T, p)
     T0, tail_bound = _extract_limit(family)
 
-    c, factors = -d.invariants.tau_log_a, (d.delta,)  # T' = c + delta*T
+    c, factors = -p.invariants.tau_log_a, (p.delta,)  # T' = c + delta*T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         # the measured loops, untested; past them, runs of doubling length, up
         # to n or to the first run that ends on a duration that is not finite:
@@ -157,7 +157,7 @@ def adjusted_sequence(
         m = min(n, done)
         t_even_zero = np.zeros(m + 1, dtype=LD)
         np.add.accumulate(T_seq_full[:m], out=t_even_zero[1:])
-        t_odd_zero = (t_even_zero[1:] + d.gamma1 * t_even_zero[:-1]) / (LD(1.0) + d.gamma1)
+        t_odd_zero = (t_even_zero[1:] + p.gamma1 * t_even_zero[:-1]) / (LD(1.0) + p.gamma1)
         t_even, t_odd = t_even_zero + offset, t_odd_zero + offset
     # loop k ends at t_even[k+1]; a duration or zero-anchored time of loop
     # k that is not finite makes t_even[k+1] or t_odd[k] not finite too
@@ -181,7 +181,7 @@ def adjusted_sequence(
     )
 
 
-def shift_invariance_check(h: HittingSequence, d: DerivedConstants, N: int) -> float:
+def shift_invariance_check(h: HittingSequence, p: SystemParams, N: int) -> float:
     """Rebuild the backward family anchored at loop ``N`` and compare.
 
     Carrying each ``T[i]``, ``i >= N``, back ``i - N`` steps (instead of
@@ -195,6 +195,6 @@ def shift_invariance_check(h: HittingSequence, d: DerivedConstants, N: int) -> f
         raise InsufficientData(
             f"shift check needs 0 <= N < n_pairs - 2 = {h.n_pairs - 2}, got {N}"
         )
-    family_N = _carry_back(_legs(h)[2][N:], d)
-    target = adjusted_sequence(h, d).T_seq[N]
+    family_N = _carry_back(_legs(h)[2][N:], p)
+    target = adjusted_sequence(h, p).T_seq[N]
     return float(np.max(np.abs(family_N - target)))

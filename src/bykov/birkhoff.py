@@ -36,9 +36,7 @@ from ._num import LD, asld
 from .errors import ConstraintViolation, DegenerateInput, InsufficientData
 from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
-from .params import (
-    DerivedConstants, SystemParams, _check_count, _check_tol, derive_constants,
-)
+from .params import SystemParams, _check_count, _check_tol, _is_real
 
 __all__ = [
     "Observable",
@@ -58,6 +56,7 @@ class Observable:
     equilibria.  For the smooth kind, a finite ``m > 0`` is the
     interpolation exponent and ``g_boundary`` the shared value on the
     cylinder boundaries (default: midpoint of the equilibrium values).
+    Every number given must be a real number, not a bool.
     ``g_boundary`` must lie in the closed interval spanned by the
     equilibrium values so that every time average provably stays inside
     that interval too.
@@ -74,11 +73,12 @@ class Observable:
             raise ConstraintViolation(
                 f"observable kind must be 'piecewise_constant' or 'smooth', got {self.kind!r}"
             )
-        for name in ("g_sigma1", "g_sigma2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConstraintViolation(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
+        for name in ("g_sigma1", "g_sigma2", "m", "g_boundary"):
+            value = getattr(self, name)
+            if not (_is_real(value) or value is None and name in ("m", "g_boundary")):
+                raise ConstraintViolation(f"{name} must be a real number, got {value!r}")
+            if name.startswith("g_sigma") and not np.isfinite(value):
+                raise ConstraintViolation(f"{name} must be finite, got {value}")
         if self.kind == "smooth":
             if self.m is None or not (0 < self.m < np.inf):
                 raise ConstraintViolation(
@@ -133,12 +133,12 @@ def _profile_value(G: Observable, g_sigma, rho_log, z_log):
 
 
 def predicted_limits(
-    d: DerivedConstants, G: Observable
+    p: SystemParams, G: Observable
 ) -> tuple[np.longdouble, np.longdouble]:
     """The two subsequence limits of the time averages."""
     g1, g2 = asld(G.g_sigma1), asld(G.g_sigma2)
-    even = (g1 + d.gamma1 * g2) / (LD(1.0) + d.gamma1)
-    odd = (d.gamma2 * g1 + g2) / (LD(1.0) + d.gamma2)
+    even = (g1 + p.gamma1 * g2) / (LD(1.0) + p.gamma1)
+    odd = (p.gamma2 * g1 + g2) / (LD(1.0) + p.gamma2)
     return even, odd
 
 
@@ -252,13 +252,12 @@ def birkhoff_average(
         raise InsufficientData(f"upto_index must be at least 1, got {upto_index}")
     n_pairs = max(1, upto_index // 2)
     h = generate_hitting_sequence(q0, p, n_pairs)
-    d = derive_constants(p)
 
     # one row per cylinder: value, entry logs, sojourns, rates E and C; V1 legs
     # enter from the Out2 crossings 0, 2, ..., reinjected by psi21, V2 legs
     # from the Out1 crossings 1, 3, ..., glued to In2
     rows = (
-        (G.g_sigma1, d.log_a + h.log_coord[0:upto_index:2],
+        (G.g_sigma1, p.log_a + h.log_coord[0:upto_index:2],
          h.sojourns_V1[: (upto_index + 1) // 2], p.E1, p.C1),
         (G.g_sigma2, h.log_coord[1:upto_index:2], h.sojourns_V2[: upto_index // 2], p.E2, p.C2),
     )
@@ -287,7 +286,7 @@ def birkhoff_average(
     # averages[k-1] is the average over [0, times[k]]
     averages = np.cumsum(increments) / h.times[1 : upto_index + 1]
 
-    pe, po = predicted_limits(d, G)
+    pe, po = predicted_limits(p, G)
     return AverageSeries(
         even_averages=averages[1::2],
         odd_averages=averages[0::2],

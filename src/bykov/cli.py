@@ -47,9 +47,7 @@ from .diagnostics import corollary_ratios, lemma_diagnostics
 from .errors import BykovError, ConstraintViolation, ParseError
 from .flow import SectionPoint
 from .hitting import _legs, generate_hitting_sequence
-from .params import (
-    PerturbationSpec, SystemParams, _check_tol, derive_constants, validate_params,
-)
+from .params import PerturbationSpec, SystemParams, _check_tol, validate_params
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_csv", "main"]
 
@@ -252,7 +250,7 @@ def _run_simulate(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
 def _run_diagnostics(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
                      tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
-    lem = lemma_diagnostics(h, derive_constants(cfg.params))
+    lem = lemma_diagnostics(h, cfg.params)
     # n + 1 rows; a column with fewer entries is blank at its end
     rows = zip_longest(range(n + 1), lem.lemma1, lem.lemma2, lem.lemma3, lem.residuals,
                        *corollary_ratios(h, cfg.params).ratios)
@@ -288,7 +286,7 @@ def _run_birkhoff(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
 def _run_adjusted(cfg: ExperimentConfig, seed: SectionPoint, out: Path, n: int,
                   tol: float | None) -> int:
     h = generate_hitting_sequence(seed, cfg.params, n)
-    adj = adjusted_sequence(h, derive_constants(cfg.params))
+    adj = adjusted_sequence(h, cfg.params)
     T = _legs(h)[2]
     columns = zip(T, adj.T_seq, h.times[0::2], adj.t_even, h.times[1::2], adj.t_odd)
     rows = [(i, Ti, Ttil, te, tte, to, tto, te - tte)

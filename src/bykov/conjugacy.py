@@ -28,9 +28,7 @@ from .adjusted import AdjustedTimes, adjusted_sequence
 from .errors import InvalidTimes, InvariantMismatch
 from .flow import SectionPoint
 from .hitting import generate_hitting_sequence
-from .params import (
-    SystemParams, _check_count, _check_tol, derive_constants, invariant_tuple,
-)
+from .params import SystemParams, _check_count, _check_tol
 
 __all__ = [
     "RecoveredPoint",
@@ -88,16 +86,14 @@ def recover_point(t_adj: AdjustedTimes, p: SystemParams) -> RecoveredPoint:
             f"need 0 < t1 < t2 in the adjusted schedule, got t1={float(t1)}, "
             f"t2={float(t2)}"
         )
-    d = derive_constants(p)
-    z0_log = -asld(p.E1) * t1 - d.log_a
+    z0_log = -asld(p.E1) * t1 - p.log_a
     if not (z0_log < 0.0):
         raise InvalidTimes(
             "adjusted first leg is too short to correspond to an interior "
             f"seed height (recovered log height {float(z0_log)} >= 0)"
         )
     rho1_log = -asld(p.E2) * (t2 - t1)
-    combo = d.invariants.omega_combo
-    theta0 = combo * (t2 / (d.gamma1 + LD(1.0)) - (t2 - t1) / d.gamma1)
+    theta0 = p.invariants.omega_combo * (t2 / (p.gamma1 + LD(1.0)) - (t2 - t1) / p.gamma1)
     return RecoveredPoint(
         z0_log=z0_log,
         rho1_log=rho1_log,
@@ -146,7 +142,7 @@ def verify_conjugacy(
     """
     _check_count(n_pairs, "n_pairs")
     _check_tol(tol)
-    devs = np.abs(invariant_tuple(p).as_array() - invariant_tuple(g).as_array())
+    devs = np.abs(p.invariants.as_array() - g.invariants.as_array())
     if strict and np.any(devs > _INVARIANT_TOL):
         raise InvariantMismatch(
             "systems do not share the invariant tuple; componentwise "
@@ -156,7 +152,7 @@ def verify_conjugacy(
     # one adjusted loop beyond the measured ones gives the closing odd
     # crossing a partner; the image reads only T0, not the loop count
     h = generate_hitting_sequence(q0, p, n_pairs)
-    adj = adjusted_sequence(h, derive_constants(p), n_pairs + 1)
+    adj = adjusted_sequence(h, p, n_pairs + 1)
     image = recover_point(adj, g)
 
     seed_bar = SectionPoint(

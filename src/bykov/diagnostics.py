@@ -33,7 +33,7 @@ import numpy as np
 from ._num import LD, asld
 from .errors import InsufficientData, NonConvergent
 from .hitting import HittingSequence, _legs
-from .params import DerivedConstants, InvariantTuple, SystemParams, derive_constants
+from .params import InvariantTuple, SystemParams
 
 __all__ = [
     "DiagnosticSeries",
@@ -106,17 +106,17 @@ def _defects(h: HittingSequence, p: SystemParams) -> tuple[np.ndarray, np.ndarra
     return D1, D2
 
 
-def lemma_diagnostics(h: HittingSequence, d: DerivedConstants) -> DiagnosticSeries:
+def lemma_diagnostics(h: HittingSequence, p: SystemParams) -> DiagnosticSeries:
     """The three difference combinations and the recursion residuals."""
     if h.n_pairs < 3:
         raise InsufficientData(f"lemma diagnostics need at least 3 loops, got {h.n_pairs}")
     s, u, T = _legs(h)
-    lemma3 = T[1:] - d.delta * T[:-1]
+    lemma3 = T[1:] - p.delta * T[:-1]
     return DiagnosticSeries(
-        lemma1=_after_nan(s[1:] - d.gamma2 * u),
-        lemma2=u - d.gamma1 * s[: len(u)],
+        lemma1=_after_nan(s[1:] - p.gamma2 * u),
+        lemma2=u - p.gamma1 * s[: len(u)],
         lemma3=_after_nan(lemma3),
-        residuals=_after_nan(lemma3 + d.invariants.tau_log_a),
+        residuals=_after_nan(lemma3 + p.invariants.tau_log_a),
     )
 
 
@@ -245,10 +245,9 @@ def perturbation_decay_slope(h: HittingSequence, p: SystemParams) -> float:
         Fewer than two loops above the noise floor — in particular, for
         idealized runs, where the combination is identically zero.
     """
-    d = derive_constants(p)
-    lemma2 = lemma_diagnostics(h, d).lemma2
+    lemma2 = lemma_diagnostics(h, p).lemma2
     s, u, _ = _legs(h)
-    scale = np.maximum(np.maximum(abs(u), abs(d.gamma1 * s[: len(u)])), LD(1.0))
+    scale = np.maximum(np.maximum(abs(u), abs(p.gamma1 * s[: len(u)])), LD(1.0))
     val = abs(lemma2)
     above = val > LD(1e3) * np.finfo(LD).eps * scale
     if np.count_nonzero(above) < 2:
@@ -257,5 +256,5 @@ def perturbation_decay_slope(h: HittingSequence, p: SystemParams) -> float:
             "the decay slope is only defined for perturbed runs"
         )
     # ln of the height at which loop i re-enters the first cylinder
-    xs = (d.log_a + h.log_coord[0:-2:2])[above]
+    xs = (p.log_a + h.log_coord[0:-2:2])[above]
     return float(np.polyfit(xs.astype(float), np.log(val[above]).astype(float), 1)[0])

@@ -17,7 +17,9 @@ conjugacy of the section-to-section dynamics:
 * ``tau * ln(a)`` with ``tau = (1 + gamma1) / E1``, the timing offset of
   the loop-return recursion.
 
-Everything here is computed in extended precision (see ``bykov._num``).
+They are read-only attributes of a ``SystemParams``, beside the other
+derived constants; ``p.invariants`` holds all four.  Everything here is
+computed in extended precision (see ``bykov._num``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .errors import ConstraintViolation
 __all__ = [
     "PerturbationSpec",
     "SystemParams",
-    "DerivedConstants",
     "InvariantTuple",
     "validate_params",
     "derive_constants",
@@ -68,8 +69,11 @@ class PerturbationSpec:
 class SystemParams:
     """Parameters of the piecewise-linear two-saddle-focus model.
 
-    Each object derives its constants once, on first use, and keeps them
-    in its own ``__dict__``, past the frozen ``__setattr__``.  A set that
+    The eight derived constants below are read-only attributes, in
+    ``np.longdouble`` (``invariants`` holds four).  Each object derives
+    them once, on first use, and keeps them in its own ``__dict__``, past
+    the frozen ``__setattr__``, with the powers ``delta**-i`` of the
+    adjusted times' backward carry (``_inverse_powers``).  A set that
     fails validation raises on every use and keeps nothing.  Equality,
     hashing and ``repr`` see the eight fields alone.  From Python 3.12,
     threads that first use one object together may each derive; they
@@ -86,8 +90,8 @@ class SystemParams:
     perturbation: PerturbationSpec | None = None
 
     @functools.cached_property
-    def _constants(self) -> DerivedConstants:
-        """The saddle indices, loop rates and invariants; validates the set first."""
+    def _constants(self) -> tuple:
+        """The eight derived constants, in the order of the attributes below; validates first."""
         validate_params(self)
         C1, E1 = asld(self.C1), asld(self.E1)
         C2, E2 = asld(self.C2), asld(self.E2)
@@ -96,7 +100,6 @@ class SystemParams:
         gamma2 = C2 / E1
         delta1 = C1 / E1
         delta2 = C2 / E2
-        delta = delta1 * delta2
         tau = (LD(1.0) + gamma1) / E1
         log_a = np.log(a)
         inv = InvariantTuple(
@@ -105,16 +108,35 @@ class SystemParams:
             omega_combo=w1 + gamma1 * w2,
             tau_log_a=tau * log_a,
         )
-        return DerivedConstants(
-            gamma1=gamma1,
-            gamma2=gamma2,
-            delta1=delta1,
-            delta2=delta2,
-            delta=delta,
-            tau=tau,
-            log_a=log_a,
-            invariants=inv,
-        )
+        return gamma1, gamma2, delta1, delta2, delta1 * delta2, tau, log_a, inv
+
+    # kept on first read, so every later read is a plain attribute of the object
+    gamma1 = functools.cached_property(lambda p: p._constants[0])  # C1/E2, an invariant
+    gamma2 = functools.cached_property(lambda p: p._constants[1])  # C2/E1, an invariant
+    delta1 = functools.cached_property(lambda p: p._constants[2])  # C1/E1, leg 1's saddle index
+    delta2 = functools.cached_property(lambda p: p._constants[3])  # C2/E2, leg 2's saddle index
+    delta = functools.cached_property(lambda p: p._constants[4])  # delta1*delta2 > 1: attracting
+    tau = functools.cached_property(lambda p: p._constants[5])  # (1 + gamma1)/E1
+    log_a = functools.cached_property(lambda p: p._constants[6])  # ln a, the reinjection's shift
+    invariants = functools.cached_property(lambda p: p._constants[7])  # all four invariants
+
+    def _inverse_powers(self, n: int) -> np.ndarray:
+        """``delta**-i`` for ``i < n``, read-only, as the backward carry takes them.
+
+        The table is kept in the object's ``__dict__``, not as a field, so
+        equality, hashing and ``repr`` never see it and it goes with the
+        object.  It grows to the longest ``n`` asked for, each new element
+        the same ``delta**-i`` as before, so every prefix keeps its bits.
+        Threads that grow it together each compute equal elements.
+        """
+        table = self.__dict__.get("_inverse_powers_table")
+        if table is None or len(table) < n:
+            have = 0 if table is None else len(table)
+            grown = self.delta ** -np.arange(have, n, dtype=LD)
+            table = grown if table is None else np.concatenate((table, grown))
+            table.setflags(write=False)
+            self.__dict__["_inverse_powers_table"] = table
+        return table[:n]
 
     @functools.cached_property
     def _kernel(self) -> tuple[tuple, tuple, np.longdouble, np.longdouble, tuple]:
@@ -140,7 +162,7 @@ class SystemParams:
         half the long-double maximum.  Where that leaves no positive ``X``,
         ``X`` is 0 and every step is guarded.
         """
-        d = self._constants
+        _, _, delta1, delta2, _, _, log_a, _ = self._constants
         pert = self.perturbation or PerturbationSpec()
         eps = asld(pert.eps)
 
@@ -149,14 +171,14 @@ class SystemParams:
             cut = _LN_UNDERFLOW / (saddle * eps) if c != 0.0 else LD(np.inf)
             return asld(E), saddle, asld(omega), c, eps, cut
 
-        legs = (leg(self.E1, d.delta1, self.omega1, pert.c1),
-                leg(self.E2, d.delta2, self.omega2, pert.c2))
+        legs = (leg(self.E1, delta1, self.omega1, pert.c1),
+                leg(self.E2, delta2, self.omega2, pert.c2))
         a = asld(self.a)
         with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows is no reach
             (g1, b1), (g2, b2) = ((1 + 2 * S + (1 + w) / E, 45 + c) for E, S, w, c, _, _ in legs)
-            X = ((_LD_MAX * a / 4 - b2 - abs(d.log_a)) / g2 - b1) / g1
+            X = ((_LD_MAX * a / 4 - b2 - abs(log_a)) / g2 - b1) / g1
         X = X if X > 0.0 else LD(0.0)
-        return (*legs, a, d.log_a, (-X, X))
+        return (*legs, a, log_a, (-X, X))
 
 
 @dataclass(frozen=True)
@@ -178,45 +200,10 @@ class InvariantTuple:
         )
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Ratios and rates derived from a :class:`SystemParams`.
-
-    All numeric fields are ``np.longdouble``.  ``delta = gamma1 * gamma2
-    = delta1 * delta2`` must exceed 1 for the cycle to attract.
-    ``log_a = ln(a)`` is the log-height shift of the reinjection.  The
-    conjugacy invariants ride along so that time-series diagnostics can
-    take a single argument.  The powers ``delta**-i`` of the adjusted
-    times' backward carry are kept here too, outside the fields (see
-    ``_inverse_powers``).
-    """
-
-    gamma1: np.longdouble
-    gamma2: np.longdouble
-    delta1: np.longdouble
-    delta2: np.longdouble
-    delta: np.longdouble
-    tau: np.longdouble
-    log_a: np.longdouble
-    invariants: InvariantTuple
-
-    def _inverse_powers(self, n: int) -> np.ndarray:
-        """``delta**-i`` for ``i < n``, read-only, as the backward carry takes them.
-
-        The table is kept in the object's ``__dict__``, not as a field, so
-        equality, hashing and ``repr`` never see it and it goes with the
-        object.  It grows to the longest ``n`` asked for, each new element
-        the same ``delta**-i`` as before, so every prefix keeps its bits.
-        Threads that grow it together each compute equal elements.
-        """
-        table = self.__dict__.get("_inverse_powers_table")
-        if table is None or len(table) < n:
-            have = 0 if table is None else len(table)
-            grown = self.delta ** -np.arange(have, n, dtype=LD)
-            table = grown if table is None else np.concatenate((table, grown))
-            table.setflags(write=False)
-            self.__dict__["_inverse_powers_table"] = table
-        return table[:n]
+# the numbers validate_params reads, in order, and the types that need no closer look
+_FIELDS = ("C1", "E1", "omega1", "C2", "E2", "omega2", "a",
+           "perturbation.c1", "perturbation.c2", "perturbation.eps")
+_PLAIN = frozenset({int, float})
 
 
 def validate_params(p: SystemParams) -> SystemParams:
@@ -228,11 +215,22 @@ def validate_params(p: SystemParams) -> SystemParams:
     Raises
     ------
     ConstraintViolation
-        If any of the rate orderings, positivity conditions, the angle
-        scaling range ``0 < a < 1``, or the perturbation ranges fail, or
-        a rate or perturbation amplitude is infinite.
-        The message lists every violated condition.
+        If a field is not a real number (a bool is not one; a Python or
+        NumPy integer or float is), naming every such field before any is
+        compared.  Else if any of the rate orderings, positivity
+        conditions, the angle scaling range ``0 < a < 1``, or the
+        perturbation ranges fail, or a rate or perturbation amplitude is
+        infinite.  The message lists every violated condition.
     """
+    q = p.perturbation
+    values = (p.C1, p.E1, p.omega1, p.C2, p.E2, p.omega2, p.a)
+    if q is not None:
+        values += (q.c1, q.c2, q.eps)
+    if not _PLAIN.issuperset(map(type, values)):  # a NumPy number, a bool, or no number
+        wrong = [f"{name} must be a real number, got {v!r}"
+                 for name, v in zip(_FIELDS, values) if not _is_real(v)]
+        if wrong:
+            raise ConstraintViolation("; ".join(wrong))
     problems: list[str] = []
     if not (p.E1 > 0):
         problems.append(f"E1 must be positive, got {p.E1}")
@@ -248,9 +246,7 @@ def validate_params(p: SystemParams) -> SystemParams:
         problems.append(f"omega2 must be positive, got {p.omega2}")
     if not (0.0 < p.a < 1.0):
         problems.append(f"a must lie strictly between 0 and 1, got {p.a}")
-    rates = [("C1", p.C1), ("C2", p.C2), ("omega1", p.omega1), ("omega2", p.omega2)]
-    if p.perturbation is not None:
-        q = p.perturbation
+    if q is not None:
         if not (q.c1 >= 0.0):
             problems.append(f"perturbation.c1 must be >= 0, got {q.c1}")
         if not (q.c2 >= 0.0):
@@ -259,21 +255,23 @@ def validate_params(p: SystemParams) -> SystemParams:
             problems.append(
                 f"perturbation.eps must lie strictly between 0 and 1, got {q.eps}"
             )
-        rates += [("perturbation.c1", q.c1), ("perturbation.c2", q.c2)]
     # +inf passes the comparisons above for these; E1, E2, a and eps cannot be inf
-    problems += [f"{name} must be finite, got {v}" for name, v in rates if v == math.inf]
+    problems += [f"{name} must be finite, got {v}" for name, v in zip(_FIELDS, values)
+                 if v == math.inf and name not in ("E1", "E2", "a", "perturbation.eps")]
     if problems:
         raise ConstraintViolation("; ".join(problems))
     return p
 
 
+def _is_real(x) -> bool:
+    """A real number: a Python or NumPy integer or float, long doubles included, not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_tol(tol) -> float:
     """The tolerance of a verdict: a positive and finite number, not a bool."""
-    try:
-        if not isinstance(tol, (bool, np.bool_)) and math.isfinite(tol) and tol > 0:
-            return tol
-    except TypeError:  # not a number: None, a string
-        pass
+    if _is_real(tol) and math.isfinite(tol) and tol > 0:
+        return tol
     raise ConstraintViolation(f"tol must be positive and finite, got {tol!r}")
 
 
@@ -287,21 +285,22 @@ def _check_count(n, name: str) -> int:
     raise ConstraintViolation(f"{name} must be an integer, got {n!r}")
 
 
-def derive_constants(p: SystemParams) -> DerivedConstants:
-    """Compute the saddle indices and loop rates for a valid parameter set.
+def derive_constants(p: SystemParams) -> SystemParams:
+    """``p``, once its constants are derived: they are attributes of ``p``.
 
     Derived once per parameter object and kept on it; an invalid set
     raises on every call.
     """
-    return p._constants
+    p._constants  # validates the set, then derives and keeps the constants
+    return p
 
 
 def invariant_tuple(p: SystemParams) -> InvariantTuple:
-    """The four-number conjugacy class of a parameter set.
+    """The four-number conjugacy class of a parameter set, ``p.invariants``.
 
     Natural logarithms throughout: ``tau_log_a = tau * ln(a)``.
     """
-    return p._constants.invariants
+    return p.invariants
 
 
 def matching_params(
@@ -332,23 +331,22 @@ def matching_params(
         If the forced values land outside the admissible region (for
         example a non-positive ``omega1_bar``, or ``C1_bar <= E1_bar``).
     """
-    inv = invariant_tuple(p)
     E1b, E2b, w2b = asld(E1_bar), asld(E2_bar), asld(omega2_bar)
     if not all(0 < x < np.inf for x in (E1b, E2b, w2b)):
         raise ConstraintViolation(
             "target rates must be positive and finite, got "
             f"E1_bar={E1_bar}, E2_bar={E2_bar}, omega2_bar={omega2_bar}"
         )
-    C1b = inv.gamma1 * E2b
-    C2b = inv.gamma2 * E1b
-    w1b = inv.omega_combo - inv.gamma1 * w2b
+    C1b = p.gamma1 * E2b
+    C2b = p.gamma2 * E1b
+    w1b = p.invariants.omega_combo - p.gamma1 * w2b
     if not (w1b > 0):
         raise ConstraintViolation(
             f"omega1_bar = {float(w1b)} is not positive; "
             "decrease omega2_bar to keep the twist combination attainable"
         )
-    tau_bar = (LD(1.0) + inv.gamma1) / E1b
-    a_bar = np.exp(inv.tau_log_a / tau_bar)
+    tau_bar = (LD(1.0) + p.gamma1) / E1b
+    a_bar = np.exp(p.invariants.tau_log_a / tau_bar)
     candidate = SystemParams(
         C1=float(C1b),
         E1=float(E1b),

@@ -26,6 +26,7 @@ from bykov import (
     generate_hitting_sequence,
     shift_invariance_check,
 )
+from bykov._num import _affine_iterates
 from bykov.adjusted import _carry_back, _extract_limit
 from reference import (
     LD, P, PP, SEED, draw_orbit, exact, exact_chain, extract_limit, longhand_chain, same_bits,
@@ -335,6 +336,8 @@ def test_requires_two_pairs():
     h = generate_hitting_sequence(SEED, P, 1)
     with pytest.raises(InsufficientData, match="the backward family needs at least 2 loops, got 1"):
         adjusted_sequence(h, D)
+    with pytest.raises(InsufficientData, match="^need at least one adjusted loop, got n=0$"):
+        adjusted_sequence(generate_hitting_sequence(SEED, P, 2), P, 0)
 
 
 def test_a_grid_past_the_long_double_range_is_refused():
@@ -416,6 +419,17 @@ def test_the_forward_recursion_matches_longhand_bitwise(seed, params, n_pairs):
                    f"long-double range before n={first + 1}")
         with pytest.raises(InvalidTimes, match=f"^{re.escape(message)}$"):
             adjusted_sequence(h, d, first + 1)
+
+
+def test_the_absorption_bound_is_where_the_constant_rounds_away():
+    # just above 2**64 the product's ulp is 2, so c = 1 is half an ulp and
+    # still rounds some sums up (ties to even): a bound of 2**64 would take
+    # these iterates to the accumulate and lose those roundings
+    x, c, f = LD(2.0) ** 64 + LD(2.0), LD(1.0), LD(1.0 + 2.0**-40)
+    want = [x]
+    for _ in range(39):
+        want.append(c + f * want[-1])
+    assert same_bits(_affine_iterates(x, c, (f,), 40), np.array(want, dtype=LD))
 
 
 def test_zero_anchored_grid_starts_at_zero(ideal):

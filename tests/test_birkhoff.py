@@ -53,6 +53,16 @@ def test_observable_validation():
         with pytest.raises(ConstraintViolation, match="g_sigma2"):
             Observable(kind="smooth", g_sigma1=0.0, g_sigma2=-bad, m=2.0)
     assert Observable(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0).boundary_value == 0.5
+    # a bool or a non-number in a numeric field is refused by name, not read as a number
+    for field, bad in (("g_sigma1", "0"), ("g_sigma2", None), ("m", True), ("g_boundary", "0.5"),
+                       ("g_sigma1", np.True_)):
+        fields = {**dict(kind="smooth", g_sigma1=0.0, g_sigma2=1.0, m=2.0), field: bad}
+        with pytest.raises(ConstraintViolation, match=f"^{field} must be a real number, got "):
+            Observable(**fields)
+    with pytest.raises(ConstraintViolation, match="^g_sigma1 must be a real number, got '0'$"):
+        Observable("piecewise_constant", "0", 1)
+    # ints, NumPy numbers and long doubles are numbers
+    Observable("smooth", 0, np.float32(1.0), m=LD(2.0), g_boundary=np.int64(1))
 
 
 def test_smooth_profile_interpolates_inside_a_cylinder():
@@ -124,6 +134,8 @@ def test_certificate_needs_samples():
     s = birkhoff_average(SEED, P, INDICATOR, upto_index=4)
     with pytest.raises(InsufficientData):
         historic_certificate(s)
+    with pytest.raises(InsufficientData, match="^upto_index must be at least 1, got 0$"):
+        birkhoff_average(SEED, P, INDICATOR, upto_index=0)
 
 
 def _leg_integral_closed_form(g_s, g_b, m, contr, expand, depth, length):

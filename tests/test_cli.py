@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bykov import ConstraintViolation, ParseError
-from bykov.cli import emit_csv, main, parse_config
+from bykov.cli import _atomic_write, emit_csv, main, parse_config
 
 BASE_CONFIG = {
     "params": {"C1": 2, "E1": 1, "omega1": 1, "C2": 3, "E2": 1.5, "omega2": 2, "a": 0.5},
@@ -60,6 +60,13 @@ def test_parse_config_error_paths():
         parse_config(_dump(doc))
     doc = {"params": dict(BASE_CONFIG["params"]), "observable": {"kind": "smooth"}}
     with pytest.raises(ParseError, match=r"\$\.observable"):
+        parse_config(_dump(doc))
+    with pytest.raises(ParseError, match=r"config is not UTF-8.*\(at \$\)$"):
+        parse_config(_dump(BASE_CONFIG).replace(b'"params"', b'"p\xe4rams"'))
+    with pytest.raises(ParseError, match=r"^expected an object \(at \$\.seed\)$"):
+        parse_config(_dump(dict(BASE_CONFIG, seed=5)))
+    doc = dict(BASE_CONFIG, observable={"kind": 1, "g_sigma1": 0.0, "g_sigma2": 1.0})
+    with pytest.raises(ParseError, match=r"^expected a string 'kind' \(at \$\.observable\.kind\)$"):
         parse_config(_dump(doc))
 
 
@@ -226,12 +233,19 @@ def test_conjugacy_cli_verdicts_and_exit_codes(tmp_path):
     assert main(["conjugacy", "--config", str(cfg3), "--out", str(tmp_path / "x")]) == 1
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path)]) == 1
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"params": {"C1": 2}}')
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    good = tmp_path / "good.json"
+    good.write_bytes(_dump(BASE_CONFIG))
+    capsys.readouterr()
+    argv = ["simulate", "--config", str(good), "--out", str(tmp_path / "out"), "--pairs", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: pair count must be at least 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_pairs_override_wins_over_config(tmp_path):
@@ -328,3 +342,17 @@ def test_the_umask_is_left_alone(tmp_path, monkeypatch):
         os.umask(umask)
     assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == 0o640
     assert [q.name for q in tmp_path.iterdir()] == ["a.csv"]
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    target = tmp_path / "a.csv"
+    target.write_text("old\n")
+
+    def body(f):
+        f.write("half a ")
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError, match="disk gone"):
+        _atomic_write(target, body)
+    assert [q.name for q in tmp_path.iterdir()] == ["a.csv"]
+    assert target.read_text() == "old\n"

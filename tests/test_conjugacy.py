@@ -151,6 +151,11 @@ def test_recover_rejects_disordered_times():
     )
     with pytest.raises(InvalidTimes):
         recover_point(bad, P)
+    # a first leg shorter than -ln(a)/E1 = ln 2 would start above the section
+    adj = _adjusted(P)
+    short = dataclasses.replace(adj, t_odd_zero=np.concatenate(([LD(0.5)], adj.t_odd_zero[1:])))
+    with pytest.raises(InvalidTimes, match="too short"):
+        recover_point(short, P)
 
 
 def test_verify_needs_enough_pairs():

@@ -298,6 +298,11 @@ def test_diagnostics_need_enough_pairs():
     h = generate_hitting_sequence(SEED, P, 2)
     with pytest.raises(InsufficientData):
         lemma_diagnostics(h, derive_constants(P))
+    with pytest.raises(InsufficientData, match="^ratio diagnostics need at least 2 loops, got 1$"):
+        corollary_ratios(generate_hitting_sequence(SEED, P, 1), P)
+    with pytest.raises(InsufficientData,
+                       match="^invariant estimation needs at least 5 loops, got 4$"):
+        estimate_invariants(generate_hitting_sequence(SEED, P, 4))
 
 
 def _longhand_ratios(h, p):

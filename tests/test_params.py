@@ -7,8 +7,11 @@ import dataclasses
 import gc
 import math
 import pickle
+import sys
+import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,6 +96,10 @@ def test_validate_rejects_each_inequality():
         dict(a=0.0),
         dict(a=1.0),
         dict(a=1.2),
+        dict(a="0.5"),             # every field a real number
+        dict(E1=None),
+        dict(C2=True),             # a bool is no number
+        dict(omega2=np.bool_(True)),
     ]
     for override in bad:
         with pytest.raises(ConstraintViolation):
@@ -105,6 +112,15 @@ def test_validate_collects_all_problems_at_once():
         validate_params(p)
     msg = str(err.value)
     assert "C1" in msg and "a" in msg
+    # every field that is not a real number is named in one message, before any is compared
+    with pytest.raises(ConstraintViolation) as err:
+        validate_params(dataclasses.replace(P, C1=0.5, a="0.5", omega1=None))
+    assert str(err.value) == (
+        "omega1 must be a real number, got None; a must be a real number, got '0.5'")
+    # ints, NumPy numbers and long doubles are numbers
+    exotic = SystemParams(C1=2, E1=np.int64(1), omega1=LD(1), C2=np.float32(3), E2=1.5,
+                          omega2=np.float64(2), a=0.5)
+    assert validate_params(exotic) is exotic
 
 
 def test_validate_perturbation_fields():
@@ -112,6 +128,12 @@ def test_validate_perturbation_fields():
         validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(0.1, 0.1, 1.5)))
     with pytest.raises(ConstraintViolation, match="c1"):
         validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(-0.1, 0.1, 0.5)))
+    for spec, name in ((PerturbationSpec(True, 0.1, 0.5), "c1"),
+                       (PerturbationSpec(0.1, "0.1", 0.5), "c2"),
+                       (PerturbationSpec(0.1, 0.1, None), "eps")):
+        with pytest.raises(ConstraintViolation,
+                           match=rf"^perturbation\.{name} must be a real number, got \S+$"):
+            validate_params(dataclasses.replace(P, perturbation=spec))
     # zero strengths are the idealized model and are fine
     validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(0.0, 0.0, 0.5)))
 
@@ -260,6 +282,38 @@ def test_the_constants_live_and_die_with_their_object():
     del p, copies, got
     gc.collect()
     assert gone() is None
+
+
+_DERIVED = ("gamma1", "gamma2", "delta1", "delta2", "delta", "tau", "log_a")
+
+
+def _derived_bits(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The eight constants of ``p`` in one long-double array, and ``delta**-i`` for ``i < 64``."""
+    values = [getattr(p, name) for name in _DERIVED] + list(p.invariants.as_array())
+    return np.array(values, dtype=LD), p._inverse_powers(64)
+
+
+def test_threads_that_first_touch_one_object_read_the_same_bits():
+    # 4 threads, more than the cores of a small machine, start together on
+    # each fresh object, switching every microsecond: each reads what one
+    # thread alone reads, whichever derives the constants or grows the powers
+    want = _derived_bits(dataclasses.replace(PP))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(25):
+                p, start = dataclasses.replace(PP), threading.Barrier(4)
+
+                def first_touch(p=p, start=start):
+                    start.wait(timeout=10)
+                    return _derived_bits(p)
+
+                futures = [pool.submit(first_touch) for _ in range(4)]
+                for got in (f.result(timeout=30) for f in futures):
+                    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_one_analysis_derives_the_constants_once(monkeypatch):

@@ -31,7 +31,7 @@ SCRIPTS = (sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").
 
 PUBLIC = [
     "AdjustedTimes", "AverageSeries", "BykovError", "Certificate", "ConjugacyReport",
-    "ConstraintViolation", "DegenerateInput", "DerivedConstants", "DiagnosticSeries",
+    "ConstraintViolation", "DegenerateInput", "DiagnosticSeries",
     "HittingSequence", "InsufficientData", "InvalidTimes", "InvariantMismatch",
     "InvariantTuple", "NonConvergent", "Observable", "ParseError",
     "PerturbationSpec", "RecoveredPoint", "SectionPoint", "SystemParams",
@@ -95,6 +95,15 @@ def test_the_benchmark_reads_the_package():
     assert ("bykov.acceptance", "ideal_closed_form_times") in used
     # and the README's quickstart is read as code
     assert ("bykov", "verify_conjugacy") in _package_names(_source(ROOT / "README.md"))
+
+
+def test_the_readme_quickstart_runs_without_a_warning():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _source(ROOT / "README.md")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "2.99573227" in run.stdout and "6.99004197" in run.stdout
+    assert run.stdout.splitlines()[-1] == "True"
 
 
 def test_precision_info_names_the_long_double_format():

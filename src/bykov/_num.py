@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InsufficientData
+
 __all__ = ["LD", "PI", "TWO_PI", "asld", "precision_info"]
 
 LD = np.longdouble
@@ -78,6 +80,40 @@ def _affine_iterates(x, c, factors: tuple, m: int) -> np.ndarray:
         np.multiply.accumulate(run, out=run)
         out[k:] = run[::r]
     return out
+
+
+# a difference at most this times the largest |element| is rounding noise
+_NOISE = LD(16.0) * _FINFO.eps
+
+
+def _limit(seq: np.ndarray, rate=None) -> tuple[np.longdouble, float]:
+    """``(value, bound)``: the limit of ``seq``, read at its last element, and a bound on its error.
+
+    With a known geometric ``rate``, one Richardson step ``(s[i] -
+    rate*s[i-1]) / (1 - rate)`` over the whole sequence first cancels the
+    leading error term.  The bound is ``d*r/(1 - r)``, with ``d`` the last
+    difference above the noise floor ``16*eps*max|s|`` and ``r`` its ratio
+    to the one before (at most 0.9) if that is above the floor and larger,
+    else 0.5; with no difference above the floor, the largest one.  No NaN
+    is skipped: callers slice off an undefined head.  Fewer than two
+    elements, after the step, raise :class:`~bykov.errors.InsufficientData`.
+    """
+    if rate is not None:
+        seq = (seq[1:] - rate * seq[:-1]) / (_ONE - rate)
+    if len(seq) < 2:
+        raise InsufficientData(f"a limit needs two elements, got {len(seq)}")
+    diffs = abs(seq[1:] - seq[:-1])
+    floor = _NOISE * abs(seq).max()
+    significant = (diffs > floor).nonzero()[0]
+    if len(significant) == 0:
+        return seq[-1], float(diffs.max())
+    k = significant[-1]
+    d_last = diffs[k]
+    if k >= 1 and diffs[k - 1] > floor and diffs[k - 1] > d_last:
+        ratio = min(float(d_last / diffs[k - 1]), 0.9)
+    else:
+        ratio = 0.5
+    return seq[-1], float(d_last) * ratio / (1.0 - ratio)
 
 
 def asld(x) -> np.longdouble:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _INF, _NEG_INF, LD, _affine_iterates
+from ._num import _INF, _NEG_INF, LD, _affine_iterates, _limit
 from .errors import InsufficientData, InvalidTimes
 from .hitting import HittingSequence, _legs
 from .params import SystemParams, _check_count
@@ -85,9 +85,6 @@ class AdjustedTimes:
     residual_tail_bound: float
 
 
-_FLOOR = LD(16.0) * np.finfo(LD).eps  # a difference at most this times max |family| is noise
-
-
 def _carry_back(T: np.ndarray, p: SystemParams) -> np.ndarray:
     """Carry each ``T[i]`` back ``i`` chain steps, in the module docstring's closed form.
 
@@ -99,23 +96,6 @@ def _carry_back(T: np.ndarray, p: SystemParams) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         return (T * p._inverse_powers(len(T))
                 - p.invariants.tau_log_a / step * np.expm1(-i * np.log1p(step)))
-
-
-def _extract_limit(family: np.ndarray) -> tuple[np.longdouble, float]:
-    """Tail element of the family plus a geometric bound on what remains."""
-    diffs = abs(family[1:] - family[:-1])
-    floor = _FLOOR * abs(family).max()
-    significant = (diffs > floor).nonzero()[0]
-    if len(significant) == 0:
-        return family[-1], float(diffs.max())
-    k = significant[-1]
-    d_last = diffs[k]
-    if k >= 1 and diffs[k - 1] > floor and diffs[k - 1] > d_last:
-        ratio = min(float(d_last / diffs[k - 1]), 0.9)
-    else:
-        ratio = 0.5
-    bound = float(d_last) * ratio / (1.0 - ratio)
-    return family[-1], bound
 
 
 def adjusted_sequence(
@@ -139,7 +119,7 @@ def adjusted_sequence(
         )
     T = _legs(h)[2]
     family = _carry_back(T, p)
-    T0, tail_bound = _extract_limit(family)
+    T0, tail_bound = _limit(family)
 
     c, factors = -p.invariants.tau_log_a, (p.delta,)  # T' = c + delta*T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead

@@ -15,6 +15,24 @@ point, generate its hitting sequence, and compare every crossing time
 against the adjusted schedule.  Deviations are normalized by
 ``max(1, |t|)`` since the schedule grows geometrically and absolute
 comparison at late crossings would only measure accumulated magnitude.
+
+The replay checks the height half of the section map; its angle half is
+constrained by degree.  A conjugacy that keeps the crossing times maps
+each height circle of ``Out2`` to a height circle, since in the
+idealized model the times depend on the height alone.  On those circles
+the return map has angle degree ``1/a``, and a homeomorphism of circles
+has degree +-1, so ``1/a = 1/a_bar`` wherever ``1/a`` is an integer, as
+in every shipped configuration; for other ``a`` the case is open.  With
+``a_bar = a`` the identity angle map works: for ``p = CANONICAL_PARAMS``
+the ``Out2`` angles of ``matching_params(p, E1_bar=p.E1, E2_bar=2,
+omega2_bar=1)`` agree with ``p``'s within 5.3e-16 relative over 12
+loops, while the partner's ``omega1`` or ``omega2`` scaled by 1.001
+parts them by 6.4e-4 or 3.6e-4 and leaves the times agreeing.
+``MATCHED_PARAMS`` of :mod:`bykov.acceptance` (``a = 0.25`` against 0.5)
+passes the time replay but cannot be conjugate on the sections as
+modelled: under the identity angle map its angles miss by 5.1 relative
+at 12 loops from ``SEED``.  A perturbed source needs an angle carry as
+well: from ``PERTURBED_PARAMS`` the identity map leaves a gap of 7.4e-5.
 """
 
 from __future__ import annotations

@@ -215,7 +215,8 @@ def validate_params(p: SystemParams) -> SystemParams:
     Raises
     ------
     ConstraintViolation
-        If a field is not a real number (a bool is not one; a Python or
+        If ``perturbation`` is neither a ``PerturbationSpec`` nor None.  Else
+        if a field is not a real number (a bool is not one; a Python or
         NumPy integer or float is), naming every such field before any is
         compared.  Else if any of the rate orderings, positivity
         conditions, the angle scaling range ``0 < a < 1``, or the
@@ -225,6 +226,8 @@ def validate_params(p: SystemParams) -> SystemParams:
     q = p.perturbation
     values = (p.C1, p.E1, p.omega1, p.C2, p.E2, p.omega2, p.a)
     if q is not None:
+        if not isinstance(q, PerturbationSpec):
+            raise ConstraintViolation(f"perturbation must be a PerturbationSpec or None, got {q!r}")
         values += (q.c1, q.c2, q.eps)
     if not _PLAIN.issuperset(map(type, values)):  # a NumPy number, a bool, or no number
         wrong = [f"{name} must be a real number, got {v!r}"
@@ -357,5 +360,5 @@ def matching_params(
         a=float(a_bar),
         perturbation=None,
     )
-    validate_params(candidate)
+    candidate._constants  # validates, then derives the constants the caller will read
     return candidate

@@ -26,8 +26,8 @@ from bykov import (
     generate_hitting_sequence,
     shift_invariance_check,
 )
-from bykov._num import _affine_iterates
-from bykov.adjusted import _carry_back, _extract_limit
+from bykov._num import _affine_iterates, _limit
+from bykov.adjusted import _carry_back
 from reference import (
     LD, P, PP, SEED, draw_orbit, exact, exact_chain, extract_limit, longhand_chain, same_bits,
 )
@@ -179,21 +179,21 @@ _LIMIT_FAMILIES = {
 @pytest.mark.parametrize("family", _LIMIT_FAMILIES.values(), ids=_LIMIT_FAMILIES.keys())
 def test_extract_limit_matches_longhand_bitwise(family):
     family = np.array(family, dtype=LD)
-    T0, bound = _extract_limit(family)
+    T0, bound = _limit(family)
     want_T0, want_bound = extract_limit(family)
     assert same_bits(T0, want_T0) and same_bits(np.float64(bound), np.float64(want_bound))
 
 
 def test_extract_limit_edges():
     families = {k: np.array(v, dtype=LD) for k, v in _LIMIT_FAMILIES.items()}
-    assert _extract_limit(families["length_2"])[1] == 0.5  # one difference: ratio 0.5
-    assert same_bits(np.float64(_extract_limit(families["constant"])[1]), np.float64(0.0))
-    assert _extract_limit(families["below_the_floor"])[1] == float(8 * _EPS)  # the largest
-    assert _extract_limit(families["first_difference_only"])[1] == 1.0  # ratio 0.5
+    assert _limit(families["length_2"])[1] == 0.5  # one difference: ratio 0.5
+    assert same_bits(np.float64(_limit(families["constant"])[1]), np.float64(0.0))
+    assert _limit(families["below_the_floor"])[1] == float(8 * _EPS)  # the largest
+    assert _limit(families["first_difference_only"])[1] == 1.0  # ratio 0.5
     d = np.diff(families["geometric"])
-    assert _extract_limit(families["geometric"])[1] == float(-d[-1]) * 0.25 / 0.75
+    assert _limit(families["geometric"])[1] == float(-d[-1]) * 0.25 / 0.75
     d = np.diff(families["slow_geometric"])
-    assert _extract_limit(families["slow_geometric"])[1] == float(-d[-1]) * 0.9 / (1 - 0.9)
+    assert _limit(families["slow_geometric"])[1] == float(-d[-1]) * 0.9 / (1 - 0.9)
 
 
 def test_family_is_constant_without_perturbation(ideal):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bykov import (
     adjusted_sequence,
     derive_constants,
     generate_hitting_sequence,
+    matching_params,
     recover_point,
     verify_conjugacy,
 )
@@ -96,6 +98,35 @@ def test_a_partner_off_in_tau_ln_a_alone_fails_the_replay():
     report = verify_conjugacy(SEED, P, partner, n_pairs=12, strict=False)
     assert report.verdict is False
     assert report.max_dev > 1e-5
+
+
+# a partner of P with a_bar = a = 0.5: the angle degree 1/a of the return
+# map matches, so the identity can be the angle half of the section map
+SAME_A = matching_params(P, E1_bar=P.E1, E2_bar=2, omega2_bar=1)
+
+
+def _rel_gap(x, y) -> float:
+    return float(np.max(np.abs(x - y) / np.maximum(1, np.abs(y))))
+
+
+@pytest.mark.parametrize("twist", [None, "omega1", "omega2"])
+def test_the_conjugacy_holds_on_both_section_coordinates(twist):
+    """``(theta, z) -> (theta, H_z(z))`` takes P's Out2 returns to SAME_A's, times and angles.
+
+    With one rate of the partner scaled by 1.001 the twist combination is
+    off: the times still agree, since they carry no angle, and the angles
+    part.
+    """
+    g = SAME_A if twist is None else dataclasses.replace(
+        SAME_A, **{twist: getattr(SAME_A, twist) * 1.001})
+    assert g.a == P.a
+    for theta0, z0 in itertools.product((0.0, 1.0, 2.5, 5.0), (0.03, 0.1, 0.3)):
+        h = generate_hitting_sequence(SectionPoint("Out2", theta0, float(np.log(z0))), P, 12)
+        z0_log = recover_point(adjusted_sequence(h, P, 13), g).z0_log
+        h_bar = generate_hitting_sequence(SectionPoint("Out2", theta0, z0_log), g, 12)
+        assert _rel_gap(h_bar.times, h.times) < 1e-12
+        angle_gap = _rel_gap(h_bar.theta[0::2], h.theta[0::2])
+        assert angle_gap < 1e-12 if twist is None else angle_gap > 1e-4
 
 
 def test_injectivity_on_seed_heights():

@@ -21,7 +21,7 @@ from bykov import (
     lemma_diagnostics,
     perturbation_decay_slope,
 )
-from bykov.acceptance import _richardson_tail
+from bykov._num import _limit
 from bykov.diagnostics import _defects, _spread
 from reference import LD, P, PP, SEED, draw_orbit, exits_from_defects, same_bits
 
@@ -74,14 +74,15 @@ def test_ratio_transients_decay_at_the_predicted_rate(ideal):
 def test_richardson_tail_kills_geometric_transients():
     rho = 0.25
     seq = 5.0 + 3.0 * rho ** np.arange(6, dtype=LD)
-    np.testing.assert_allclose(float(_richardson_tail(seq, LD(rho))), 5.0, rtol=1e-18)
+    np.testing.assert_allclose(float(_limit(seq, LD(rho))[0]), 5.0, rtol=1e-18)
     with pytest.raises(InsufficientData):
-        _richardson_tail(seq[:1], LD(rho))
+        _limit(seq[:1], LD(rho))
 
 
-def test_richardson_skips_undefined_leading_entries():
-    seq = np.array([np.nan, 4.0, 3.5, 3.25], dtype=LD)
-    out = float(_richardson_tail(seq, LD(0.5)))
+def test_richardson_reads_a_sequence_sliced_past_its_undefined_head():
+    # the reader skips no NaN: callers slice off the head the ratios leave undefined
+    seq = np.array([4.0, 3.5, 3.25], dtype=LD)
+    out = float(_limit(seq, LD(0.5))[0])
     np.testing.assert_allclose(out, 3.0, rtol=1e-15)
 
 

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import bykov.params
 from bykov import (
     ConstraintViolation,
     Observable,
@@ -100,6 +101,7 @@ def test_validate_rejects_each_inequality():
         dict(E1=None),
         dict(C2=True),             # a bool is no number
         dict(omega2=np.bool_(True)),
+        dict(perturbation={"c1": 0.1, "c2": 0.1, "eps": 0.5}),  # not a PerturbationSpec
     ]
     for override in bad:
         with pytest.raises(ConstraintViolation):
@@ -134,6 +136,10 @@ def test_validate_perturbation_fields():
         with pytest.raises(ConstraintViolation,
                            match=rf"^perturbation\.{name} must be a real number, got \S+$"):
             validate_params(dataclasses.replace(P, perturbation=spec))
+    # a perturbation given as a dict used to end in a bare AttributeError
+    with pytest.raises(ConstraintViolation,
+                       match=r"^perturbation must be a PerturbationSpec or None, got \{'c1'"):
+        validate_params(dataclasses.replace(P, perturbation={"c1": 0.1, "c2": 0.1, "eps": 0.5}))
     # zero strengths are the idealized model and are fine
     validate_params(dataclasses.replace(P, perturbation=PerturbationSpec(0.0, 0.0, 0.5)))
 
@@ -225,6 +231,20 @@ def test_matching_params_target_rates_must_be_positive_and_finite(rates):
 def test_matching_params_rejects_overspent_twist():
     with pytest.raises(ConstraintViolation, match="omega1"):
         matching_params(P, E1_bar=1.0, E2_bar=1.0, omega2_bar=50.0)
+
+
+def test_matching_params_validates_each_partner_once(monkeypatch):
+    seen = []
+
+    def counting(p):
+        seen.append(p)
+        return validate_params(p)
+
+    monkeypatch.setattr(bykov.params, "validate_params", counting)
+    g = matching_params(P, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
+    assert sum(p is g for p in seen) == 1
+    g.gamma1, g.invariants  # kept from the one validation
+    assert sum(p is g for p in seen) == 1
 
 
 def test_matching_params_drops_perturbation():

@@ -21,13 +21,16 @@ Four cross-sections bound the sojourns:
 
 The local transition maps ``Phi1`` and ``Phi2`` are written once, as one
 kernel for both legs of a return step.  It serves the hitting-time
-generator's head, the legs at or above their cut-offs and the guarded
-step; :func:`poincare` writes an in-reach leg below its cut-off inline,
-as the kernel's idealized branch, operation for operation.  ``psi21``
-models the global reinjection: heights shrink by the factor ``a`` and
-angles are scaled by ``1/a``.  All coordinates are kept in log space; the
-heights involved decay like ``exp(-delta^n)`` and would leave double
-precision (let alone linear coordinates) within a handful of loops.
+generator's head, the guarded step and every step with a leg at or above
+its cut-off.  :func:`poincare` takes an in-reach step with both legs
+below their cut-offs, every step of the idealized model among them, as
+one straight line: the kernel's idealized branch for both legs and the
+reinjection, operation for operation, with no crossing check, as each is
+implied there.  ``psi21`` models the global reinjection: heights shrink
+by the factor ``a`` and angles are scaled by ``1/a``.  All coordinates
+are kept in log space; the heights involved decay like ``exp(-delta^n)``
+and would leave double precision (let alone linear coordinates) within a
+handful of loops.
 
 Angles are tracked as *lifted* reals, never reduced mid-computation: the
 winding over one sojourn grows with the sojourn length, and the reduced
@@ -60,7 +63,10 @@ class SectionPoint:
     ``log_coord`` is the logarithm of the non-unit coordinate (height on
     the radius-one sections, radius on the height-one sections) and must
     be strictly negative: zero would sit on the connection itself and the
-    transit time diverges logarithmically as it is approached.
+    transit time diverges logarithmically as it is approached.  Both
+    numbers are long doubles: a long double is kept as it is, any other
+    real number or a numeric string is read by ``asld``, and anything
+    else, a bool, ``None`` or a non-scalar among them, is refused.
     """
 
     chart: str
@@ -73,10 +79,21 @@ class SectionPoint:
                 f"unknown chart {self.chart!r}; expected one of {_CHARTS}"
             )
         if not isinstance(self.theta_lifted, LD):
-            object.__setattr__(self, "theta_lifted", asld(self.theta_lifted))
+            object.__setattr__(self, "theta_lifted", _coerce(self.theta_lifted, "theta_lifted"))
         if not isinstance(self.log_coord, LD):
-            object.__setattr__(self, "log_coord", asld(self.log_coord))
+            object.__setattr__(self, "log_coord", _coerce(self.log_coord, "log_coord"))
         _check_crossing(self.theta_lifted, self.log_coord)
+
+
+def _coerce(value, field: str) -> np.longdouble:
+    """A field given as a real number or a numeric string, as a long double; else refused."""
+    try:
+        x = None if value is None or isinstance(value, (bool, np.bool_)) else asld(value)
+    except (TypeError, ValueError):  # no number, or a string that spells none
+        x = None
+    if type(x) is not LD:  # asld reads None as NaN, a bool as 0 or 1, a sequence as an array
+        raise DegenerateInput(f"{field} must be a real number or a numeric string, got {value!r}")
+    return x
 
 
 def _check_crossing(theta_lifted: np.longdouble, log_coord: np.longdouble) -> None:
@@ -157,12 +174,15 @@ def _half_transition(
     ``-0``, so adding either leaves it as it is.  With ``c == 0`` the
     cut-off is ``+inf`` and the idealized transit is all there is.
 
-    :func:`poincare` calls it for a leg at or above its cut-off, and the
-    hitting-time generator for an orbit's head only.  From the first loop
-    whose two entries lie below their cut-offs the generator computes the
-    idealized leg above, operation for operation, two recurrences as
-    scalars and the rest as arrays: no later entry lies above its cut-off
-    again (see :func:`~bykov.hitting.generate_hitting_sequence`).
+    :func:`poincare` calls it for both legs of a step with a leg at or
+    above its cut-off, or from outside the reach; a step with both legs
+    below their cut-offs it takes as one straight line, this idealized
+    branch twice, operation for operation.  The hitting-time generator
+    calls it for an orbit's head only.  From the first loop whose two
+    entries lie below their cut-offs the generator computes the idealized
+    leg above, operation for operation, two recurrences as scalars and
+    the rest as arrays: no later entry lies above its cut-off again (see
+    :func:`~bykov.hitting.generate_hitting_sequence`).
     """
     transit = -log_in / expand
     log_out = saddle * log_in
@@ -209,9 +229,23 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     idealized model the heights obey ``ln z' = ln a + delta * ln z``
     exactly.
 
-    A leg of an in-reach step whose entry lies below the leg's cut-off is
-    written inline, as the kernel's idealized branch, which it equals bit
-    for bit; the kernel computes the other legs.
+    An in-reach step whose ``V1`` entry ``ln z`` lies below ``cut1`` and
+    whose ``Out1`` log ``S1*ln z`` lies below ``cut2`` is one straight line:
+    the kernel's idealized branch for both legs and the reinjection,
+    operation for operation, as in ``(theta + w1*s + w2*u)/a`` with
+    ``s = -ln z/E1`` and ``u = -S1*ln z/E2``, and ``ln a + S2*(S1*ln z)``.
+    Both cut-offs of the idealized model are ``+inf``, so this is every
+    one of its in-reach steps.  The step makes no crossing check, as each
+    is implied.  The entry is a checked ``In1`` point: its log is negative
+    and finite, its angle finite.  Both saddle indices exceed 1 (``C > E``
+    for each leg), so each exact product ``S*log`` lies below its negative
+    operand, and with rounding monotone the ``Out1`` and ``Out2`` logs are
+    negative, never ``-0``; the ``In1`` log adds ``ln a < 0`` to the
+    ``Out2`` one.  The reach bounds every value of the step, so none
+    overflows: the transits and their sum are positive and finite, and
+    the angles, sums of finite terms, are finite.  The next point is
+    built in place, as :func:`psi21` builds it, from the two long doubles
+    as they are.
 
     A value that leaves the long-double range is refused as
     :class:`~bykov.errors.DegenerateInput`, without NumPy's overflow
@@ -219,8 +253,8 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     inside the parameter set's reach (see ``SystemParams._kernel``) cannot
     overflow, and a step from outside it runs under ``np.errstate``.
 
-    The next point is built as :func:`psi21` builds it, from the two long
-    doubles as they are, with no coercion.  One test stands for the
+    Every other in-reach step runs both legs through the kernel and builds
+    the next point in the same way.  One test stands for the
     ``SectionPoint`` checks of the step's three crossings, ``Out1``,
     ``Out2`` and ``In1``: the ``Out2`` log is negative, and the ``In1``
     point has a finite angle and a log above ``-inf``.  The ``In1`` log is
@@ -240,18 +274,18 @@ def poincare(q: SectionPoint, p: SystemParams) -> tuple[SectionPoint, np.longdou
     log_in, theta_in = q.log_coord, q.theta_lifted
     if lo < log_in and lo < theta_in < hi:
         E1, S1, w1, _, _, cut1 = leg1
-        if log_in < cut1:
-            s = -log_in / E1
-            log1, theta1 = S1 * log_in, theta_in + w1 * s
-        else:
-            s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
+        E2, S2, w2, _, _, cut2 = leg2
+        if log_in < cut1 and (log1 := S1 * log_in) < cut2:
+            # both legs idealized, and every crossing check implied
+            s, u = -log_in / E1, -log1 / E2
+            nxt = object.__new__(SectionPoint)
+            _SET_CHART(nxt, "In1")
+            _SET_THETA(nxt, (theta_in + w1 * s + w2 * u) / a)
+            _SET_LOG(nxt, log_a + S2 * log1)
+            return nxt, s + u
+        s, log1, theta1 = _half_transition(log_in, theta_in, *leg1)
         if log1 < _ZERO:  # else the V2 leg would take exp of a positive log
-            E2, S2, w2, _, _, cut2 = leg2
-            if log1 < cut2:
-                u = -log1 / E2
-                log2, theta2 = S2 * log1, theta1 + w2 * u
-            else:
-                u, log2, theta2 = _half_transition(log1, theta1, *leg2)
+            u, log2, theta2 = _half_transition(log1, theta1, *leg2)
             # the Out2 point reinjected as psi21 does
             theta, log = theta2 / a, log_a + log2
             if log2 < _ZERO and _NEG_INF < log and _NEG_INF < theta < _INF:

@@ -71,7 +71,10 @@ def generate_hitting_sequence(
     angle (sign bit included, so ``-0.0`` is not ``+0.0``) and log
     coordinate, equal parameters and the same loop count get the sequence
     already generated, not a copy, which is why its arrays are read-only.
-    A refused request is not remembered and raises again.
+    A refused request is not remembered and raises again.  An inadmissible
+    parameter set is refused with
+    :class:`~bykov.errors.ConstraintViolation` before the request is
+    looked up, as an unhashable field would otherwise fail the lookup.
 
     Each crossing is written once, into arrays of their final length; the
     two ledgers are read-only views of one array of sojourns.
@@ -123,6 +126,7 @@ def generate_hitting_sequence(
     n_pairs = _check_count(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise InsufficientData(f"n_pairs must be at least 1, got {n_pairs}")
+    p._kernel  # validates the set, which is hashed only once admissible
     th = q0.theta_lifted
     key = (th, np.signbit(th), q0.log_coord, p, n_pairs)
     h = _LIVE.get(key)

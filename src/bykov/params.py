@@ -229,11 +229,7 @@ def validate_params(p: SystemParams) -> SystemParams:
         if not isinstance(q, PerturbationSpec):
             raise ConstraintViolation(f"perturbation must be a PerturbationSpec or None, got {q!r}")
         values += (q.c1, q.c2, q.eps)
-    if not _PLAIN.issuperset(map(type, values)):  # a NumPy number, a bool, or no number
-        wrong = [f"{name} must be a real number, got {v!r}"
-                 for name, v in zip(_FIELDS, values) if not _is_real(v)]
-        if wrong:
-            raise ConstraintViolation("; ".join(wrong))
+    _check_reals(_FIELDS, values)
     problems: list[str] = []
     if not (p.E1 > 0):
         problems.append(f"E1 must be positive, got {p.E1}")
@@ -264,6 +260,15 @@ def validate_params(p: SystemParams) -> SystemParams:
     if problems:
         raise ConstraintViolation("; ".join(problems))
     return p
+
+
+def _check_reals(names: tuple, values: tuple) -> None:
+    """Refuse the values that are not real numbers, naming every one of them."""
+    if not _PLAIN.issuperset(map(type, values)):  # a NumPy number, a bool, or no number
+        wrong = [f"{name} must be a real number, got {v!r}"
+                 for name, v in zip(names, values) if not _is_real(v)]
+        if wrong:
+            raise ConstraintViolation("; ".join(wrong))
 
 
 def _is_real(x) -> bool:
@@ -331,9 +336,12 @@ def matching_params(
     Raises
     ------
     ConstraintViolation
-        If the forced values land outside the admissible region (for
+        If a target rate is not a real number (a bool or a string is not
+        one), naming every such argument, or is not positive and finite.
+        Else if the forced values land outside the admissible region (for
         example a non-positive ``omega1_bar``, or ``C1_bar <= E1_bar``).
     """
+    _check_reals(("E1_bar", "E2_bar", "omega2_bar"), (E1_bar, E2_bar, omega2_bar))
     E1b, E2b, w2b = asld(E1_bar), asld(E2_bar), asld(omega2_bar)
     if not all(0 < x < np.inf for x in (E1b, E2b, w2b)):
         raise ConstraintViolation(

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bykov import (
     ConstraintViolation,
@@ -21,6 +23,7 @@ from bykov import (
     poincare,
     psi21,
 )
+import bykov.flow
 from bykov._num import asld
 from bykov.flow import _half_transition
 from reference import LD, P, PP, SEED, draw_orbit, half_transition, same_bits, spy_derivations
@@ -60,6 +63,19 @@ def test_section_point_fields_are_long_doubles(theta, log):
         assert type(got) is np.longdouble
         assert same_bits(got, asld(given))
         assert (got is given) == isinstance(given, LD)
+
+
+@pytest.mark.parametrize(
+    "bad", [None, True, False, np.True_, [1.0], (-1.0,), np.array([0.5, -0.5]), "abc", 1 - 1j],
+    ids=["None", "True", "False", "numpy_bool", "list", "tuple", "array", "word", "complex"],
+)
+def test_section_point_refuses_a_field_that_is_no_number(bad):
+    # asld read None as NaN, a bool as 0 or 1 and a sequence as an array;
+    # a word or a complex number ended in a bare ValueError or TypeError
+    for field, fields in (("theta_lifted", (bad, -1.0)), ("log_coord", (0.0, bad))):
+        message = f"{field} must be a real number or a numeric string, got {bad!r}"
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+            SectionPoint("Out2", *fields)
 
 
 def test_section_point_is_a_frozen_value():
@@ -181,9 +197,14 @@ def test_perturbed_phi1_matches_direct_formula():
 
 
 def _composed_step(q: SectionPoint, p: SystemParams):
-    """``psi21 . Phi2 . Phi1`` through the kernel, and the return time."""
+    """``psi21 . Phi2 . (Out1 == In2) . Phi1`` through the kernel, and the return time.
+
+    Each crossing is a checked ``SectionPoint``, so the first one off the
+    connection is refused with its message.
+    """
     leg1, leg2 = p._kernel[:2]
     s, log1, theta1 = _half_transition(q.log_coord, q.theta_lifted, *leg1)
+    SectionPoint("Out1", theta1, log1)
     u, log2, theta2 = _half_transition(log1, theta1, *leg2)
     return psi21(SectionPoint("Out2", theta2, log2), p), s + u
 
@@ -234,8 +255,9 @@ _ONE_SIDED = [dataclasses.replace(PP, perturbation=PerturbationSpec(c1=c1, c2=c2
 @pytest.mark.parametrize("p", [PP, _DRAWN, *_ONE_SIDED],
                          ids=["perturbed", "drawn", "c1_only", "c2_only"])
 def test_a_step_at_each_cut_off_is_the_composition_of_its_legs(p):
-    # poincare writes a leg below its cut-off inline and calls the kernel
-    # at or above it; entries on either side of each cut-off, and on it
+    # poincare takes a step with both legs below their cut-offs as one
+    # straight line and runs both legs through the kernel otherwise;
+    # entries on either side of each cut-off, and on it
     leg1, leg2 = p._kernel[:2]
     (_, S1, *_, cut1), cut2 = leg1, leg2[-1]
     entries = []
@@ -258,6 +280,93 @@ def test_a_step_at_each_cut_off_is_the_composition_of_its_legs(p):
             want, want_t = _composed_step(q, p)
             assert same_bits([got.theta_lifted, got.log_coord, t],
                              [want.theta_lifted, want.log_coord, want_t])
+
+
+@pytest.mark.parametrize("p", [P, PP, _DRAWN], ids=["idealized", "perturbed", "drawn"])
+def test_a_step_with_both_legs_below_their_cut_offs_never_calls_the_kernel(p, monkeypatch):
+    leg1, leg2 = p._kernel[:2]
+    S1, cut1, cut2 = leg1[1], leg1[-1], leg2[-1]
+    q, entries = psi21(SEED, p), []
+    for _ in range(40):
+        entries.append(q)
+        q, _ = poincare(q, p)
+    # the last long double below the V1 cut-off, and one whose Out1 log
+    # lies just below the V2 cut-off
+    down = LD(-np.inf)
+    for cut in (cut1, cut2 / S1):
+        if cut < np.inf:
+            log_in = np.nextafter(cut, down)
+            while not S1 * log_in < cut2:
+                log_in = np.nextafter(log_in, down)
+            entries.append(SectionPoint("In1", LD(0.7), log_in))
+    straight = [q for q in entries if q.log_coord < cut1 and S1 * q.log_coord < cut2]
+    assert len(straight) >= 30
+    want = [_composed_step(q, p) for q in straight]
+
+    def refuse(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(bykov.flow, "_half_transition", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, (nxt, t) in zip(straight, want):
+            got, got_t = poincare(q, p)
+            assert type(got) is SectionPoint and got.chart == "In1"
+            assert same_bits([got.theta_lifted, got.log_coord, got_t],
+                             [nxt.theta_lifted, nxt.log_coord, t])
+
+
+def _step_or_refusal(step, q: SectionPoint, p: SystemParams):
+    """``(None, [angle, log, time])`` of a step, or ``(message, None)`` of its refusal."""
+    try:
+        nxt, t = step(q, p)
+    except DegenerateInput as err:
+        return str(err), None
+    assert type(nxt) is SectionPoint and nxt.chart == "In1"
+    return None, [nxt.theta_lifted, nxt.log_coord, t]
+
+
+_saddle = st.one_of(st.floats(1.0, 1.0 + 1e-6, exclude_min=True),
+                    st.floats(1.0, 1e3, exclude_min=True))
+_rate = st.floats(1e-3, 1e3)
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_amplitude = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 100.0))
+
+
+@given(E1=_rate, E2=_rate, d1=_saddle, d2=_saddle, w1=_rate, w2=_rate, a=_open_unit,
+       perturbed=st.booleans(), c1=_amplitude, c2=_amplitude, eps=_open_unit,
+       depth=st.floats(-3.0, 4.0), theta_in=st.floats(-1e4, 1e4))
+def test_a_step_inside_the_reach_is_the_kernel_composition(E1, E2, d1, d2, w1, w2, a, perturbed,
+                                                          c1, c2, eps, depth, theta_in):
+    C1, C2 = E1 * d1, E2 * d2
+    assume(C1 > E1 and C2 > E2)
+    pert = PerturbationSpec(c1=c1, c2=c2, eps=eps) if perturbed else None
+    p = SystemParams(C1=C1, E1=E1, omega1=w1, C2=C2, E2=E2, omega2=w2, a=a, perturbation=pert)
+    leg1, leg2, _, _, (lo, hi) = p._kernel
+    S1, cut1, cut2 = leg1[1], leg1[-1], leg2[-1]
+    down, up = LD(-np.inf), LD(np.inf)
+    # the reach's edges, each cut-off and the V1 entry whose Out1 log meets
+    # the V2 one, with the long doubles on either side
+    logs = [-LD(10.0) ** LD(depth), np.nextafter(lo, up)]
+    thetas = [LD(theta_in), np.nextafter(lo, up), np.nextafter(hi, down)]
+    for cut in (cut1, cut2 / S1):
+        if cut < up:
+            logs += [np.nextafter(np.nextafter(cut, down), down), np.nextafter(cut, down),
+                     cut, np.nextafter(cut, up), np.nextafter(np.nextafter(cut, up), up)]
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in logs:
+            if not lo < x < 0.0:
+                continue
+            for theta in thetas:
+                q = SectionPoint("In1", theta, x)
+                (got_err, got), (want_err, want) = (_step_or_refusal(step, q, p)
+                                                    for step in (poincare, _composed_step))
+                assert got_err == want_err
+                assert got_err is not None or same_bits(got, want)
+                seen += 1
+    assert seen
 
 
 def test_poincare_points_are_those_of_the_public_constructor():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bykov import (
     BykovError,
+    ConstraintViolation,
     DegenerateInput,
     InsufficientData,
     Observable,
@@ -172,6 +173,21 @@ def test_constants_derived_once_per_orbit(monkeypatch):
     generate_hitting_sequence(SEED, p, 6)
     generate_hitting_sequence(SEED, p, 7)
     assert built == [("_kernel", id(p)), ("_constants", id(p))]
+
+
+def test_an_inadmissible_system_is_refused_before_the_orbit_is_looked_up():
+    # the request's key hashes the parameters: a dict perturbation used to
+    # end there in a bare TypeError, unhashable type: 'dict'
+    bad = dataclasses.replace(P, perturbation={"c1": 0.1, "c2": 0.1, "eps": 0.5})
+    message = r"^perturbation must be a PerturbationSpec or None, got \{'c1'"
+    G = Observable("piecewise_constant", 0.0, 1.0)
+    for call in (lambda: generate_hitting_sequence(SEED, bad, 6),
+                 lambda: birkhoff_average(SEED, bad, G, 12)):
+        for _ in range(2):  # a refused request is not remembered
+            with pytest.raises(ConstraintViolation, match=message):
+                call()
+    with pytest.raises(ConstraintViolation, match="a must lie strictly between 0 and 1"):
+        generate_hitting_sequence(SEED, dataclasses.replace(P, a=1.5), 6)
 
 
 def _counting_generator(monkeypatch):

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import sys
 import threading
 import warnings
@@ -226,6 +227,26 @@ def test_matching_params_target_rates_must_be_positive_and_finite(rates):
         warnings.simplefilter("error")
         with pytest.raises(ConstraintViolation, match="target rates must be positive and finite"):
             matching_params(P, *rates)
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [((True, 1.0, 1.0), "E1_bar must be a real number, got True"),
+     ((1.0, "1", 1.0), "E2_bar must be a real number, got '1'"),
+     ((1.0, 1.0, "0.5"), "omega2_bar must be a real number, got '0.5'"),
+     ((np.bool_(True), None, "0.5"), f"E1_bar must be a real number, got {np.bool_(True)!r}; "
+      "E2_bar must be a real number, got None; omega2_bar must be a real number, got '0.5'")],
+    ids=["bool", "str", "str_fraction", "all_three"],
+)
+def test_matching_params_target_rates_must_be_real_numbers(rates, message):
+    # asld used to parse each, and the partner came back with E1 = 1.0
+    with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+        matching_params(P, *rates)
+
+
+def test_matching_params_takes_numpy_numbers_as_rates():
+    g = matching_params(P, E1_bar=np.float32(2.0), E2_bar=np.int64(3), omega2_bar=LD(1.0))
+    assert g == matching_params(P, E1_bar=2.0, E2_bar=3.0, omega2_bar=1.0)
 
 
 def test_matching_params_rejects_overspent_twist():
